@@ -10,6 +10,7 @@ picks the most even split available each turn.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -232,8 +233,16 @@ class RuleOracle:
         )
 
 
+# A word is a run of letters, so "No." and "Yes, it is" still count.
+_FIRST_WORD_RE = re.compile(r"[^\W\d_]+")
+
+
 class RulePruner:
-    """Removes exactly the candidates the answer rules out."""
+    """Removes exactly the candidates the answer rules out.
+
+    Only an answer whose first word is "yes" or "no" (any case) prunes;
+    anything else is ambiguous and prunes nothing.
+    """
 
     def prune_decision(
         self,
@@ -242,15 +251,14 @@ class RulePruner:
         graph: HypothesisGraph,
         turn_index: int = 1,
     ) -> PrunerOutput:
-        folded = answer.answer.strip().casefold()
-        if question.predicate is None or not (
-            folded.startswith("yes") or folded.startswith("no")
-        ):
+        first = _FIRST_WORD_RE.match(answer.answer.strip())
+        word = first.group().casefold() if first else ""
+        if question.predicate is None or word not in ("yes", "no"):
             return PrunerOutput(
                 rationale="Ambiguous exchange; nothing can be safely eliminated.",
                 pruned_ids=(),
             )
-        eliminated = prune_set(question.predicate, folded.startswith("yes"), graph)
+        eliminated = prune_set(question.predicate, word == "yes", graph)
         return PrunerOutput(
             rationale=f"Answer rules out {len(eliminated)} candidate(s).",
             pruned_ids=tuple(sorted(eliminated, key=lambda i: i.numeric_id)),

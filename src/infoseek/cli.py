@@ -42,9 +42,9 @@ from .experiment import (
 )
 from .llm import WireError
 from .metrics import MetricsError
-from .questions import PredicateError
+from .questions import PredicateError, QuestionParser
 from .taxonomy import GraphError, HypothesisGraph, Level, build_graph
-from .trace_analysis import QuestionParser, decision_quality, iter_turn_decisions
+from .trace_analysis import decision_quality, iter_turn_decisions
 
 _VALIDATION_ERRORS = (
     DatasetError,

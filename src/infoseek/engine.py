@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .agents import (
     AgentFailure,
@@ -23,8 +23,8 @@ from .agents import (
     Seeker,
     SeekerContext,
 )
-from .metrics import GameMetrics, TurnMetrics
-from .questions import Predicate, PredicateError, canonical, parse_canonical
+from .metrics import GameMetrics, TurnMetrics, entropy
+from .questions import Predicate, PredicateError, parse_canonical
 from .taxonomy import GraphError, HypothesisGraph, Level, NodeId
 
 SCHEMA_VERSION = 1
@@ -220,11 +220,23 @@ def play_game(
     )
 
 
-def replay(transcript: GameTranscript, graph: HypothesisGraph) -> GameMetrics:
-    """Re-apply recorded prunes on a fresh copy and recompute every metric.
+def _check_drift(turn: TurnRecord, name: str, recomputed: float) -> None:
+    recorded = getattr(turn.metrics, name)
+    if abs(recomputed - recorded) > 1e-9:
+        raise ReplayDivergenceError(
+            f"turn {turn.turn_index} {name}: recorded {recorded!r}, recomputed {recomputed!r}"
+        )
 
-    Any drift beyond 1e-9 from the stored numbers is an error, which makes
-    transcripts tamper-evident.
+
+def replay_turns(
+    transcript: GameTranscript, graph: HypothesisGraph
+) -> Iterator[tuple[TurnRecord, HypothesisGraph]]:
+    """Walk a transcript on a fresh copy of the graph, checking every turn.
+
+    Yields each turn with the graph as that turn was played on; resuming
+    re-applies the turn's recorded prune. Drift beyond 1e-9 from the
+    recorded h_before, h_after or ig, or a prune the graph rejects, raises
+    ReplayDivergenceError, which makes transcripts tamper-evident.
     """
     if transcript.dataset_fingerprint != graph.fingerprint:
         raise FingerprintMismatchError(
@@ -232,25 +244,29 @@ def replay(transcript: GameTranscript, graph: HypothesisGraph) -> GameMetrics:
             f"graph is {graph.fingerprint[:12]}…"
         )
     g = graph.fresh_copy()
-    recomputed: list[TurnMetrics] = []
     for turn in transcript.turns:
         n_before = g.active_count()
+        _check_drift(turn, "h_before", entropy(n_before))
+        yield turn, g
         try:
             if turn.pruned_ids:
                 g.prune(turn.pruned_ids)
         except GraphError as exc:
             raise ReplayDivergenceError(f"turn {turn.turn_index}: {exc}") from exc
         metrics = TurnMetrics.measure(turn.turn_index, n_before, g.active_count())
-        for name in ("h_before", "h_after", "ig"):
-            got = getattr(metrics, name)
-            recorded = getattr(turn.metrics, name)
-            if abs(got - recorded) > 1e-9:
-                raise ReplayDivergenceError(
-                    f"turn {turn.turn_index} {name}: recorded {recorded!r}, recomputed {got!r}"
-                )
-        recomputed.append(metrics)
+        _check_drift(turn, "h_after", metrics.h_after)
+        _check_drift(turn, "ig", metrics.ig)
+
+
+def replay(transcript: GameTranscript, graph: HypothesisGraph) -> GameMetrics:
+    """Re-apply recorded prunes on a fresh copy and check every metric.
+
+    replay_turns checks each turn's metrics against the recomputed entropy;
+    the game totals are then summed from them and checked to the same 1e-9.
+    """
+    per_turn = [turn.metrics for turn, _ in replay_turns(transcript, graph)]
     result = GameMetrics.from_turns(
-        transcript.game_metrics.win, recomputed, turns=transcript.game_metrics.turns
+        transcript.game_metrics.win, per_turn, turns=transcript.game_metrics.turns
     )
     for name in ("total_ig", "ig_per_turn"):
         got = getattr(result, name)
@@ -290,7 +306,7 @@ def transcript_to_jsonl(transcript: GameTranscript) -> str:
                     "kind": "turn",
                     "turn_index": turn.turn_index,
                     "question_text": turn.question_text,
-                    "predicate": canonical(turn.predicate) if turn.predicate else None,
+                    "predicate": turn.predicate.canonical() if turn.predicate else None,
                     "oracle_answer": turn.oracle_answer,
                     "game_over": turn.game_over_flag,
                     "pruned_ids": [str(i) for i in turn.pruned_ids],

@@ -12,7 +12,7 @@ import hashlib
 import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -57,17 +57,7 @@ class AgentSpec:
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {"kind": self.kind}
         if self.endpoint is not None:
-            d["endpoint"] = {
-                "base_url": self.endpoint.base_url,
-                "model_name": self.endpoint.model_name,
-                "api_key_env": self.endpoint.api_key_env,
-                "temperature": self.endpoint.temperature,
-                "reasoning_enabled": self.endpoint.reasoning_enabled,
-                "reasoning_suffix": self.endpoint.reasoning_suffix,
-                "max_retries": self.endpoint.max_retries,
-                "timeout": self.endpoint.timeout,
-                "backoff_seconds": self.endpoint.backoff_seconds,
-            }
+            d["endpoint"] = asdict(self.endpoint)
         return d
 
     @classmethod

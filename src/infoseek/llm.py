@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import requests
 
@@ -168,17 +167,6 @@ class CompletionResult:
     raw: Any = field(default=None, compare=False)
 
 
-_request_gate: threading.Semaphore | None = None
-
-
-def set_global_request_cap(n: int | None) -> None:
-    """Cap in-flight HTTP requests across all games (None = unbounded)."""
-    global _request_gate
-    if n is not None and n < 1:
-        raise ValueError(f"request cap must be >= 1, got {n}")
-    _request_gate = None if n is None else threading.Semaphore(n)
-
-
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
 
 
@@ -212,17 +200,11 @@ def complete(endpoint: EndpointConfig, messages: Sequence[ChatMessage]) -> Compl
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             time.sleep(endpoint.backoff_seconds * (2 ** (attempt - 1)))
-        gate = _request_gate
-        if gate is not None:
-            gate.acquire()
         try:
             response = requests.post(url, json=payload, headers=headers, timeout=endpoint.timeout)
         except requests.RequestException as exc:
             last_error = TransportError(str(exc))
             continue
-        finally:
-            if gate is not None:
-                gate.release()
 
         if response.status_code == 429 or response.status_code >= 500:
             last_error = ProviderError(response.status_code, response.text)
@@ -252,19 +234,25 @@ def complete(endpoint: EndpointConfig, messages: Sequence[ChatMessage]) -> Compl
     raise last_error
 
 
-def extract_first_json_object(text: str) -> dict[str, Any] | None:
-    """First decodable JSON object in the text, prose and code fences tolerated."""
+def iter_json_values(text: str, opener: str) -> Iterator[Any]:
+    """Every JSON value that decodes at an `opener` ("{" or "[") in the text.
+
+    Values come in text order; prose and code fences around them are skipped.
+    """
     decoder = json.JSONDecoder()
     for i, ch in enumerate(text):
-        if ch != "{":
+        if ch != opener:
             continue
         try:
-            obj, _ = decoder.raw_decode(text, i)
+            value, _ = decoder.raw_decode(text, i)
         except ValueError:
             continue
-        if isinstance(obj, dict):
-            return obj
-    return None
+        yield value
+
+
+def extract_first_json_object(text: str) -> dict[str, Any] | None:
+    """First decodable JSON object in the text, prose and code fences tolerated."""
+    return next(iter_json_values(text, "{"), None)
 
 
 def parse_oracle_json(text: str) -> OracleOutput:
@@ -375,17 +363,6 @@ def build_pruner_messages(
         "Return the JSON object."
     )
     return [_system(PRUNER_SYSTEM_PROMPT, reasoning_suffix), ChatMessage("user", user)]
-
-
-def build_messages(role: str, **context: Any) -> list[ChatMessage]:
-    """Role-dispatching convenience over the three message builders."""
-    if role == "seeker":
-        return build_seeker_messages(**context)
-    if role == "oracle":
-        return build_oracle_messages(**context)
-    if role == "pruner":
-        return build_pruner_messages(**context)
-    raise ValueError(f"unknown role: {role!r}")
 
 
 def _audit_blob(messages: Sequence[ChatMessage], result: CompletionResult) -> str:

@@ -44,16 +44,6 @@ def information_gain(n_before: int, n_after: int) -> float:
 
 
 @dataclass(frozen=True)
-class EntropySnapshot:
-    n_active: int
-    entropy_bits: float
-
-    @classmethod
-    def of(cls, n_active: int) -> EntropySnapshot:
-        return cls(n_active, entropy(n_active))
-
-
-@dataclass(frozen=True)
 class TurnMetrics:
     """Entropy before/after one full turn; ig is exactly their difference."""
 

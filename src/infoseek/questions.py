@@ -9,10 +9,16 @@ Three forms cover every question the rule agents ask:
 Each predicate has a canonical string form used in transcripts, and two
 predicates with the same canonical form render to identical English.
 Name matching is case-insensitive; display case is preserved from input.
+
+QuestionParser reads English questions back into predicates; it inverts
+render() for every question the rule seekers ask, with one collision: a
+one-city CityIn renders the same English as the CityGuess of that city,
+so it parses as the guess.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .metrics import information_gain
@@ -128,21 +134,8 @@ class CityGuess:
 Predicate = AttributeIn | CityIn | CityGuess
 
 
-def evaluate(predicate: Predicate, graph: HypothesisGraph, city_id: NodeId) -> bool:
-    """Ground-truth answer for this predicate about a specific city."""
-    return predicate.matches(graph, city_id)
-
-
-def render(predicate: Predicate) -> str:
-    return predicate.render()
-
-
-def canonical(predicate: Predicate) -> str:
-    return predicate.canonical()
-
-
 def parse_canonical(text: str) -> Predicate:
-    """Inverse of canonical(). Raises PredicateError on malformed input."""
+    """Inverse of Predicate.canonical(). Raises PredicateError on malformed input."""
     kind, _, rest = text.partition(":")
     if kind == "attr":
         level_text, sep, values_text = rest.partition(":")
@@ -158,6 +151,121 @@ def parse_canonical(text: str) -> Predicate:
     if kind == "guess":
         return CityGuess(rest)
     raise PredicateError(f"unknown predicate kind in {text!r}")
+
+
+_POSSESSIVE_LEVELS = {
+    "region": Level.REGION,
+    "subregion": Level.SUBREGION,
+    "country": Level.COUNTRY,
+    "state": Level.STATE,
+    "province": Level.STATE,
+}
+
+# Longest first so "is the target city" wins over "is the target".
+_QUESTION_PREFIXES = (
+    "is the target city",
+    "is the secret city",
+    "is the target",
+    "is the city",
+    "is your city",
+    "is it",
+)
+
+_LIST_SPLIT_RE = re.compile(r"\s+(?:or|and)\s+", re.IGNORECASE)
+
+
+def _split_list(text: str) -> list[str]:
+    parts = []
+    for chunk in text.split(","):
+        for piece in _LIST_SPLIT_RE.split(chunk):
+            piece = piece.strip(" \t\"'")
+            if piece:
+                parts.append(piece)
+    return parts
+
+
+class QuestionParser:
+    """Heuristic English-question → predicate parser, bound to one dataset.
+
+    Returns None for anything it cannot read with confidence; a wrong
+    guess at semantics would silently corrupt counterfactual scores.
+    """
+
+    def __init__(self, graph: HypothesisGraph) -> None:
+        self._values: dict[Level, dict[str, str]] = {level: {} for level in ATTRIBUTE_LEVELS}
+        self._cities: dict[str, str] = {}
+        for city in graph.city_leaves:
+            for level in ATTRIBUTE_LEVELS:
+                name = graph.attribute_name(city, level)
+                self._values[level].setdefault(name.casefold(), name)
+            name = graph.attribute_name(city, Level.CITY)
+            self._cities.setdefault(name.casefold(), name)
+
+    def _displayed(self, level: Level | None, names: list[str]) -> tuple[str, ...]:
+        lookup = self._cities if level is None else self._values[level]
+        return tuple(lookup.get(n.casefold(), n) for n in names)
+
+    def parse(self, text: str) -> Predicate | None:
+        t = text.strip()
+        if t.startswith(("attr:", "cityin:", "guess:")):
+            try:
+                return parse_canonical(t)
+            except PredicateError:
+                return None
+        t = t.strip(" \t\"'").rstrip("?").strip()
+        low = t.casefold()
+        for prefix in _QUESTION_PREFIXES:
+            if low.startswith(prefix):
+                rest = t[len(prefix):].strip()
+                break
+        else:
+            return None
+        if not rest:
+            return None
+        rest_low = rest.casefold()
+
+        try:
+            if rest_low.startswith("'s "):
+                return self._parse_possessive(rest[3:].strip())
+            if rest_low.startswith("in "):
+                return self._parse_membership(rest[3:].strip())
+            if rest_low.startswith("one of "):
+                names = _split_list(rest[7:])
+                return CityIn(self._displayed(None, names)) if names else None
+            for marker in ("called ", "named "):
+                if rest_low.startswith(marker):
+                    return CityGuess(self._displayed(None, [rest[len(marker):]])[0])
+            return CityGuess(self._displayed(None, [rest])[0])
+        except PredicateError:
+            return None
+
+    def _parse_possessive(self, rest: str) -> Predicate | None:
+        word, _, remainder = rest.partition(" ")
+        level = _POSSESSIVE_LEVELS.get(word.casefold())
+        remainder = remainder.strip()
+        if level is None or not remainder:
+            return None
+        if remainder.casefold().startswith("one of "):
+            names = _split_list(remainder[7:])
+        elif remainder.casefold().startswith("in "):
+            names = _split_list(remainder[3:])
+        else:
+            names = [remainder]
+        if not names:
+            return None
+        return AttributeIn(level, self._displayed(level, names))
+
+    def _parse_membership(self, rest: str) -> Predicate | None:
+        names = _split_list(rest)
+        if not names:
+            return None
+        folded = [n.casefold() for n in names]
+        for level in ATTRIBUTE_LEVELS:
+            if all(f in self._values[level] for f in folded):
+                return AttributeIn(level, self._displayed(level, names))
+        if all(f in self._cities for f in folded):
+            return CityIn(self._displayed(None, names))
+        return None
 
 
 def prune_set(predicate: Predicate, answer: bool, graph: HypothesisGraph) -> set[NodeId]:

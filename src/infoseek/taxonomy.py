@@ -8,11 +8,12 @@ build, so transcripts can be replayed against the same graph.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .dataset import CityRecord
@@ -117,21 +118,6 @@ class TaxonomyNode:
     children: tuple[NodeId, ...]
 
 
-@dataclass(frozen=True)
-class PruneOutcome:
-    """Result of one prune call: what was removed and the before/after counts."""
-
-    removed: frozenset[NodeId]
-    n_before: int
-    n_after: int
-
-
-class CityPredicate(Protocol):
-    """Anything that can classify a city leaf (see the questions module)."""
-
-    def matches(self, graph: HypothesisGraph, city_id: NodeId) -> bool: ...
-
-
 class HypothesisGraph:
     """Taxonomy tree plus the set of still-active city leaves.
 
@@ -193,7 +179,7 @@ class HypothesisGraph:
             path.append(cur.id)
         return path
 
-    def prune(self, ids: Iterable[NodeId]) -> PruneOutcome:
+    def prune(self, ids: Iterable[NodeId]) -> None:
         """Deactivate the given cities. Validates everything before mutating."""
         id_set = set(ids)
         for node_id in id_set:
@@ -209,13 +195,6 @@ class HypothesisGraph:
                 f"pruning {len(id_set)} of {n_before} active cities would empty the space"
             )
         self.active_cities -= id_set
-        return PruneOutcome(
-            removed=frozenset(id_set), n_before=n_before, n_after=len(self.active_cities)
-        )
-
-    def leaves_matching(self, predicate: CityPredicate) -> set[NodeId]:
-        """Active cities satisfying the predicate."""
-        return {c for c in self.active_cities if predicate.matches(self, c)}
 
     def serialize_state(self) -> str:
         """Deterministic indented tree rendering; cities carry ACTIVE/PRUNED tags.
@@ -246,9 +225,12 @@ class HypothesisGraph:
     def fresh_copy(self) -> HypothesisGraph:
         """New graph with the same structure and all cities active.
 
-        Node objects are shared; they are never mutated after build.
+        Nodes and the ancestor-name table are shared; neither is mutated
+        after build. Only the active set is new.
         """
-        return HypothesisGraph(self.nodes, self.city_leaves, self.fingerprint)
+        clone = copy.copy(self)
+        clone.active_cities = set(self.city_leaves)
+        return clone
 
 
 _LEVEL_FIELDS: tuple[tuple[Level, str, str], ...] = (

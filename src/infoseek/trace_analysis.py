@@ -8,25 +8,15 @@ turn), and compare the executed question against the best alternative.
 
 from __future__ import annotations
 
-import json
 import re
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .engine import FingerprintMismatchError, GameTranscript, ReplayDivergenceError
-from .llm import ChatMessage, EndpointConfig, WireError, complete
-from .metrics import entropy
-from .questions import (
-    AttributeIn,
-    CityGuess,
-    CityIn,
-    Predicate,
-    PredicateError,
-    counterfactual_ig,
-    parse_canonical,
-)
-from .taxonomy import ATTRIBUTE_LEVELS, HypothesisGraph, Level, NodeId
+from .engine import GameTranscript, replay_turns
+from .llm import ChatMessage, EndpointConfig, WireError, complete, iter_json_values
+from .questions import Predicate, QuestionParser, counterfactual_ig
+from .taxonomy import HypothesisGraph, NodeId
 
 
 class ExtractorFailureError(Exception):
@@ -75,121 +65,6 @@ class DecisionQualityReport:
     avg_questions_per_turn: MeanStd
     turns_analyzed: int
     turns_skipped: int
-
-
-_POSSESSIVE_LEVELS = {
-    "region": Level.REGION,
-    "subregion": Level.SUBREGION,
-    "country": Level.COUNTRY,
-    "state": Level.STATE,
-    "province": Level.STATE,
-}
-
-# Longest first so "is the target city" wins over "is the target".
-_QUESTION_PREFIXES = (
-    "is the target city",
-    "is the secret city",
-    "is the target",
-    "is the city",
-    "is your city",
-    "is it",
-)
-
-_LIST_SPLIT_RE = re.compile(r"\s+(?:or|and)\s+", re.IGNORECASE)
-
-
-def _split_list(text: str) -> list[str]:
-    parts = []
-    for chunk in text.split(","):
-        for piece in _LIST_SPLIT_RE.split(chunk):
-            piece = piece.strip(" \t\"'")
-            if piece:
-                parts.append(piece)
-    return parts
-
-
-class QuestionParser:
-    """Heuristic English-question → predicate parser, bound to one dataset.
-
-    Returns None for anything it cannot read with confidence; a wrong
-    guess at semantics would silently corrupt counterfactual scores.
-    """
-
-    def __init__(self, graph: HypothesisGraph) -> None:
-        self._values: dict[Level, dict[str, str]] = {level: {} for level in ATTRIBUTE_LEVELS}
-        self._cities: dict[str, str] = {}
-        for city in graph.city_leaves:
-            for level in ATTRIBUTE_LEVELS:
-                name = graph.attribute_name(city, level)
-                self._values[level].setdefault(name.casefold(), name)
-            name = graph.attribute_name(city, Level.CITY)
-            self._cities.setdefault(name.casefold(), name)
-
-    def _displayed(self, level: Level | None, names: list[str]) -> tuple[str, ...]:
-        lookup = self._cities if level is None else self._values[level]
-        return tuple(lookup.get(n.casefold(), n) for n in names)
-
-    def parse(self, text: str) -> Predicate | None:
-        t = text.strip()
-        if t.startswith(("attr:", "cityin:", "guess:")):
-            try:
-                return parse_canonical(t)
-            except PredicateError:
-                return None
-        t = t.strip(" \t\"'").rstrip("?").strip()
-        low = t.casefold()
-        for prefix in _QUESTION_PREFIXES:
-            if low.startswith(prefix):
-                rest = t[len(prefix):].strip()
-                break
-        else:
-            return None
-        if not rest:
-            return None
-        rest_low = rest.casefold()
-
-        try:
-            if rest_low.startswith("'s "):
-                return self._parse_possessive(rest[3:].strip())
-            if rest_low.startswith("in "):
-                return self._parse_membership(rest[3:].strip())
-            if rest_low.startswith("one of "):
-                names = _split_list(rest[7:])
-                return CityIn(self._displayed(None, names)) if names else None
-            for marker in ("called ", "named "):
-                if rest_low.startswith(marker):
-                    return CityGuess(self._displayed(None, [rest[len(marker):]])[0])
-            return CityGuess(self._displayed(None, [rest])[0])
-        except PredicateError:
-            return None
-
-    def _parse_possessive(self, rest: str) -> Predicate | None:
-        word, _, remainder = rest.partition(" ")
-        level = _POSSESSIVE_LEVELS.get(word.casefold())
-        remainder = remainder.strip()
-        if level is None or not remainder:
-            return None
-        if remainder.casefold().startswith("one of "):
-            names = _split_list(remainder[7:])
-        elif remainder.casefold().startswith("in "):
-            names = _split_list(remainder[3:])
-        else:
-            names = [remainder]
-        if not names:
-            return None
-        return AttributeIn(level, self._displayed(level, names))
-
-    def _parse_membership(self, rest: str) -> Predicate | None:
-        names = _split_list(rest)
-        if not names:
-            return None
-        folded = [n.casefold() for n in names]
-        for level in ATTRIBUTE_LEVELS:
-            if all(f in self._values[level] for f in folded):
-                return AttributeIn(level, self._displayed(level, names))
-        if all(f in self._cities for f in folded):
-            return CityIn(self._displayed(None, names))
-        return None
 
 
 _SPAN_RE = re.compile(r"[^?]*\?")
@@ -258,15 +133,8 @@ class LLMExtractor:
             result = complete(self.endpoint, messages)
         except WireError as exc:
             raise ExtractorFailureError(str(exc)) from exc
-        decoder = json.JSONDecoder()
-        for i, ch in enumerate(result.text):
-            if ch != "[":
-                continue
-            try:
-                arr, _ = decoder.raw_decode(result.text, i)
-            except ValueError:
-                continue
-            if isinstance(arr, list) and all(isinstance(x, str) for x in arr):
+        for arr in iter_json_values(result.text, "["):
+            if all(isinstance(x, str) for x in arr):
                 return _dedupe(arr)
         raise ExtractorFailureError(f"no JSON string array in reply: {result.text[:200]!r}")
 
@@ -346,17 +214,7 @@ def iter_turn_decisions(
     extractor = extractor or HeuristicExtractor()
     parser = parser or QuestionParser(graph)
     for game_index, transcript in enumerate(transcripts):
-        if transcript.dataset_fingerprint != graph.fingerprint:
-            raise FingerprintMismatchError(
-                f"game {game_index}: transcript fingerprint does not match the dataset"
-            )
-        g = graph.fresh_copy()
-        for turn in transcript.turns:
-            if abs(entropy(g.active_count()) - turn.metrics.h_before) > 1e-9:
-                raise ReplayDivergenceError(
-                    f"game {game_index} turn {turn.turn_index}: "
-                    "reconstructed state disagrees with recorded entropy"
-                )
+        for turn, g in replay_turns(transcript, graph):
             decision = None
             if turn.seeker_trace:
                 texts = extract_candidates(
@@ -372,8 +230,6 @@ def iter_turn_decisions(
                     realized_ig=turn.metrics.ig,
                 )
             yield game_index, decision
-            if turn.pruned_ids:
-                g.prune(turn.pruned_ids)
 
 
 def decision_quality(

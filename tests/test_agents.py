@@ -23,10 +23,7 @@ from infoseek.questions import (
     AttributeIn,
     CityGuess,
     CityIn,
-    canonical,
-    evaluate,
     prune_set,
-    render,
 )
 from infoseek.taxonomy import ATTRIBUTE_LEVELS, Level, NodeId, build_graph
 
@@ -34,7 +31,7 @@ TOKYO = NodeId(Level.CITY, 1)
 
 
 def ask_of(pred) -> SeekerOutput:
-    return SeekerOutput(question_text=render(pred), predicate=pred)
+    return SeekerOutput(question_text=pred.render(), predicate=pred)
 
 
 def yes_no(flag: bool) -> OracleOutput:
@@ -49,7 +46,7 @@ def brute_force_best_imbalance(graph) -> int:
     for level in ATTRIBUTE_LEVELS:
         for value in {graph.attribute_name(c, level) for c in active}:
             pred = AttributeIn(level, (value,))
-            yes = sum(evaluate(pred, graph, c) for c in active)
+            yes = sum(pred.matches(graph, c) for c in active)
             best = min(best, abs(2 * yes - n))
     if n >= 2:
         best = min(best, n % 2)  # a half-split city list is always available
@@ -87,7 +84,7 @@ class TestGreedyChoose:
     def test_matches_brute_force_optimum(self, graph):
         chosen = greedy_choose(graph)
         active = [c for c in graph.city_leaves if graph.is_active(c)]
-        yes = sum(evaluate(chosen, graph, c) for c in active)
+        yes = sum(chosen.matches(graph, c) for c in active)
         assert abs(2 * yes - len(active)) == brute_force_best_imbalance(graph)
 
     def test_stays_optimal_as_space_shrinks(self, graph):
@@ -97,7 +94,7 @@ class TestGreedyChoose:
             if len(active) <= 2:
                 break
             chosen = greedy_choose(graph)
-            yes = sum(evaluate(chosen, graph, c) for c in active)
+            yes = sum(chosen.matches(graph, c) for c in active)
             assert abs(2 * yes - len(active)) == brute_force_best_imbalance(graph)
             graph.prune({rng.choice(active)})
 
@@ -146,7 +143,7 @@ class TestSeekers:
     def test_greedy_seeker_emits_render_and_predicate(self, graph):
         out = GreedyHalvingSeeker().ask(self._ctx(graph))
         assert out.predicate is not None
-        assert out.question_text == render(out.predicate)
+        assert out.question_text == out.predicate.render()
 
     def test_greedy_seeker_without_graph_fails(self):
         with pytest.raises(AgentFailure):
@@ -158,10 +155,10 @@ class TestSeekers:
         assert a.predicate == b.predicate
 
     def test_random_seeker_draws_from_candidate_set(self, graph):
-        cands = {canonical(p) for p in candidate_predicates(graph)}
+        cands = {p.canonical() for p in candidate_predicates(graph)}
         for seed in range(10):
             out = RandomSeeker().ask(self._ctx(graph, seed=seed))
-            assert canonical(out.predicate) in cands
+            assert out.predicate.canonical() in cands
 
     def test_random_seeker_guesses_when_one_left(self, graph):
         graph.prune(set(c for c in graph.city_leaves if c != TOKYO))
@@ -194,7 +191,7 @@ class TestRuleOracle:
         target, probe = cities[idx], cities[other]
         pred = AttributeIn(level, (g.attribute_name(probe, level),))
         out = RuleOracle().answer(ask_of(pred), target, g, [])
-        assert (out.answer == "Yes") == evaluate(pred, g, target)
+        assert (out.answer == "Yes") == pred.matches(g, target)
         assert out.game_over is False
 
     def test_correct_guess_ends_game(self, graph):
@@ -230,13 +227,15 @@ class TestRulePruner:
 
     def test_ambiguous_answer_prunes_nothing(self, graph):
         pred = AttributeIn(Level.REGION, ("Asia",))
-        clarification = OracleOutput(
-            rationale="",
-            answer="Please ask a yes/no question about the target city.",
-            game_over=False,
-        )
-        out = RulePruner().prune_decision(ask_of(pred), clarification, graph, 1)
-        assert out.pruned_ids == ()
+        for text in (
+            "Please ask a yes/no question about the target city.",
+            "Not sure",
+            "Noted",
+            "Nope",
+        ):
+            answer = OracleOutput(rationale="", answer=text, game_over=False)
+            out = RulePruner().prune_decision(ask_of(pred), answer, graph, 1)
+            assert out.pruned_ids == (), text
 
     def test_unstructured_question_prunes_nothing(self, graph):
         q = SeekerOutput(question_text="Anything?")
@@ -245,10 +244,15 @@ class TestRulePruner:
 
     def test_answer_casing_and_padding_tolerated(self, graph):
         pred = CityGuess("Tokyo")
-        loud = OracleOutput(rationale="", answer="  YES  ", game_over=True)
-        out = RulePruner().prune_decision(ask_of(pred), loud, graph, 1)
-        assert set(out.pruned_ids) == prune_set(pred, True, graph)
-        assert len(out.pruned_ids) == 39
+        for text, holds, n_pruned in (
+            ("  YES  ", True, 39),
+            ("Yes, it is", True, 39),
+            ("No.", False, 1),
+        ):
+            answer = OracleOutput(rationale="", answer=text, game_over=holds)
+            out = RulePruner().prune_decision(ask_of(pred), answer, graph, 1)
+            assert set(out.pruned_ids) == prune_set(pred, holds, graph), text
+            assert len(out.pruned_ids) == n_pruned
 
 
 def test_greedy_closed_loop_terminates_fast(base_graph):

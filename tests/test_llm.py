@@ -19,7 +19,6 @@ from infoseek.llm import (
     MalformedResponseError,
     NonCityIdInResponseError,
     ProviderError,
-    build_messages,
     build_oracle_messages,
     build_pruner_messages,
     build_seeker_messages,
@@ -29,7 +28,6 @@ from infoseek.llm import (
     parse_pruner_json,
     render_history,
     render_target_record,
-    set_global_request_cap,
 )
 from infoseek.taxonomy import Level, NodeId
 
@@ -288,17 +286,6 @@ class TestComplete:
         )
         assert result.reasoning_trace == "provider part\n\ninline part"
 
-    def test_request_cap_roundtrip(self, mock_llm):
-        set_global_request_cap(1)
-        try:
-            mock_llm.say("ok")
-            result = complete(endpoint_for(mock_llm), [ChatMessage("user", "hi")])
-            assert result.text == "ok"
-        finally:
-            set_global_request_cap(None)
-        with pytest.raises(ValueError):
-            set_global_request_cap(0)
-
 
 class TestMessageBuilders:
     def test_seeker_full_observability_includes_graph(self, graph):
@@ -344,12 +331,6 @@ class TestMessageBuilders:
         ctx = SeekerContext(history=[], turn_index=1)
         messages = build_seeker_messages(ctx, reasoning_suffix=" /think")
         assert messages[0].content == llm.SEEKER_SYSTEM_PROMPT + " /think"
-
-    def test_dispatch(self, graph):
-        ctx = SeekerContext(history=[], turn_index=1)
-        assert build_messages("seeker", ctx=ctx) == build_seeker_messages(ctx)
-        with pytest.raises(ValueError):
-            build_messages("referee")
 
 
 class TestRenderHelpers:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from infoseek.metrics import (
     AggregateMetrics,
     EmptyInputError,
-    EntropySnapshot,
     GameMetrics,
     InvalidShrinkError,
     MeanSE,
@@ -33,10 +32,6 @@ class TestEntropy:
         for n in (0, -1):
             with pytest.raises(ZeroCandidatesError):
                 entropy(n)
-
-    def test_snapshot(self):
-        snap = EntropySnapshot.of(8)
-        assert snap == EntropySnapshot(n_active=8, entropy_bits=3.0)
 
 
 class TestInformationGain:

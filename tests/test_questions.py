@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoseek.agents import candidate_predicates, greedy_choose
 from infoseek.questions import (
     AttributeIn,
     CityGuess,
     CityIn,
     PredicateError,
+    QuestionParser,
     TargetNotActiveError,
-    canonical,
     counterfactual_ig,
-    evaluate,
     parse_canonical,
     prune_set,
-    render,
 )
 from infoseek.taxonomy import Level, NodeId
 
@@ -47,9 +46,9 @@ class TestConstruction:
 
 class TestCanonical:
     def test_forms(self):
-        assert canonical(AttributeIn(Level.REGION, ("Asia",))) == "attr:region:Asia"
-        assert canonical(CityIn(("Tokyo", "Delhi"))) == "cityin:Delhi|Tokyo"
-        assert canonical(CityGuess("Tokyo")) == "guess:Tokyo"
+        assert AttributeIn(Level.REGION, ("Asia",)).canonical() == "attr:region:Asia"
+        assert CityIn(("Tokyo", "Delhi")).canonical() == "cityin:Delhi|Tokyo"
+        assert CityGuess("Tokyo").canonical() == "guess:Tokyo"
 
     def test_round_trip(self):
         for p in (
@@ -57,7 +56,7 @@ class TestCanonical:
             CityIn(("Tokyo", "Delhi", "Shanghai")),
             CityGuess("Sao Paulo"),
         ):
-            assert parse_canonical(canonical(p)) == p
+            assert parse_canonical(p.canonical()) == p
 
     @pytest.mark.parametrize(
         "bad",
@@ -70,7 +69,7 @@ class TestCanonical:
     def test_case_variants_collapse(self):
         a = AttributeIn(Level.COUNTRY, ("JAPAN",))
         b = AttributeIn(Level.COUNTRY, ("JAPAN", "japan"))
-        assert canonical(a) == canonical(b) == "attr:country:JAPAN"
+        assert a.canonical() == b.canonical() == "attr:country:JAPAN"
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,46 +90,46 @@ def test_value_order_never_changes_identity(names, data):
     a = CityIn(tuple(names))
     b = CityIn(tuple(shuffled))
     assert a == b
-    assert canonical(a) == canonical(b)
-    assert render(a) == render(b)
+    assert a.canonical() == b.canonical()
+    assert a.render() == b.render()
 
 
 class TestRender:
     def test_region_membership_reads_naturally(self):
-        assert render(AttributeIn(Level.REGION, ("Asia",))) == "Is the target city in Asia?"
+        assert AttributeIn(Level.REGION, ("Asia",)).render() == "Is the target city in Asia?"
 
     def test_possessive_for_finer_levels(self):
         assert (
-            render(AttributeIn(Level.COUNTRY, ("Japan",)))
+            AttributeIn(Level.COUNTRY, ("Japan",)).render()
             == "Is the target city's country Japan?"
         )
         assert (
-            render(AttributeIn(Level.STATE, ("Maharashtra", "Karnataka")))
+            AttributeIn(Level.STATE, ("Maharashtra", "Karnataka")).render()
             == "Is the target city's state one of Karnataka or Maharashtra?"
         )
 
     def test_city_membership_and_guess(self):
-        assert render(CityIn(("Tokyo",))) == "Is the target city Tokyo?"
+        assert CityIn(("Tokyo",)).render() == "Is the target city Tokyo?"
         assert (
-            render(CityIn(("Tokyo", "Delhi", "Cairo")))
+            CityIn(("Tokyo", "Delhi", "Cairo")).render()
             == "Is the target city one of Cairo, Delhi or Tokyo?"
         )
-        assert render(CityGuess("Tokyo")) == "Is the target city Tokyo?"
+        assert CityGuess("Tokyo").render() == "Is the target city Tokyo?"
 
 
 class TestEvaluate:
     def test_attribute_membership(self, graph):
         asia = AttributeIn(Level.REGION, ("Asia",))
-        assert evaluate(asia, graph, TOKYO) is True
-        assert evaluate(asia, graph, CAIRO) is False
+        assert asia.matches(graph, TOKYO) is True
+        assert asia.matches(graph, CAIRO) is False
 
     def test_matching_is_case_insensitive(self, graph):
-        assert evaluate(AttributeIn(Level.COUNTRY, ("JAPAN",)), graph, TOKYO) is True
-        assert evaluate(CityGuess("tokyo"), graph, TOKYO) is True
-        assert evaluate(CityIn(("TOKYO", "delhi")), graph, DELHI) is True
+        assert AttributeIn(Level.COUNTRY, ("JAPAN",)).matches(graph, TOKYO) is True
+        assert CityGuess("tokyo").matches(graph, TOKYO) is True
+        assert CityIn(("TOKYO", "delhi")).matches(graph, DELHI) is True
 
     def test_guess_misses(self, graph):
-        assert evaluate(CityGuess("Tokyo"), graph, DELHI) is False
+        assert CityGuess("Tokyo").matches(graph, DELHI) is False
 
 
 class TestPruneSet:
@@ -194,7 +193,30 @@ def test_prune_set_complement_property(base_graph, level, idx, answer):
     p = AttributeIn(level, (value,))
     removed = prune_set(p, answer, g)
     # a truthful answer never prunes the city it was derived from
-    if answer == evaluate(p, g, target):
+    if answer == p.matches(g, target):
         assert target not in removed
     active = {c for c in g.city_leaves if g.is_active(c)}
     assert removed | prune_set(p, not answer, g) == active
+
+
+def _parse_expected(p):
+    """What the parser reads back from p.render(); see the module docstring."""
+    if isinstance(p, CityIn) and len(p.values) == 1:
+        return CityGuess(p.values[0])
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parser_inverts_render_on_every_menu_question(base_graph, data):
+    g = base_graph.fresh_copy()
+    parser = QuestionParser(g)
+    for _ in range(data.draw(st.integers(1, 7))):
+        for p in [*candidate_predicates(g), greedy_choose(g)]:
+            assert parser.parse(p.render()) == _parse_expected(p), p
+        active = sorted(g.active_cities, key=lambda c: c.numeric_id)
+        if len(active) == 1:
+            break
+        doomed = data.draw(st.sets(st.sampled_from(active), max_size=len(active) - 1))
+        if doomed:
+            g.prune(doomed)

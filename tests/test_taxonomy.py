@@ -148,9 +148,8 @@ class TestPrune:
     def test_prune_flips_flags_only(self, graph):
         victim = NodeId(Level.CITY, 40)
         before = graph.serialize_state()
-        out = graph.prune({victim})
-        assert out.removed == frozenset({victim})
-        assert (out.n_before, out.n_after) == (40, 39)
+        assert graph.prune({victim}) is None
+        assert graph.active_count() == 39
         assert not graph.is_active(victim)
         after = graph.serialize_state()
         assert before != after
@@ -190,6 +189,7 @@ class TestPrune:
         assert clone.active_count() == 40
         assert graph.active_count() == 38
         assert clone.nodes is graph.nodes
+        assert clone._attrs is graph._attrs
         assert clone.fingerprint == graph.fingerprint
 
 
@@ -203,10 +203,8 @@ class TestPrune:
 )
 def test_prune_accounting_property(base_graph, ids):
     g = base_graph.fresh_copy()
-    out = g.prune(ids)
-    assert out.removed == frozenset(ids)
-    assert out.n_after == 40 - len(ids)
-    assert g.active_count() == out.n_after
+    g.prune(ids)
+    assert g.active_count() == 40 - len(ids)
     assert all(not g.is_active(i) for i in ids)
     surviving = {n for n in g.city_leaves if g.is_active(n)}
     assert surviving.isdisjoint(ids)

@@ -14,6 +14,7 @@ from infoseek.engine import (
     play_game,
 )
 from infoseek.llm import EndpointConfig
+from infoseek.metrics import TurnMetrics
 from infoseek.questions import AttributeIn, CityGuess, CityIn
 from infoseek.taxonomy import Level, NodeId
 from infoseek.trace_analysis import (
@@ -247,6 +248,17 @@ class TestIterTurnDecisions:
             metrics=dataclasses.replace(transcript.turns[0].metrics, h_before=3.0),
         )
         doctored = dataclasses.replace(transcript, turns=(doctored_turn,))
+        with pytest.raises(ReplayDivergenceError):
+            list(iter_turn_decisions([doctored], base_graph))
+
+    def test_impossible_prune_is_a_divergence(self, base_graph):
+        transcript = manual_transcript(base_graph, TOKYO, [(ASIA_Q, None, "Yes", NON_ASIA)])
+        first = transcript.turns[0]
+        # entropy checks out, but the second turn re-prunes the same cities
+        repeat = dataclasses.replace(
+            first, turn_index=2, metrics=TurnMetrics.measure(2, 27, 27)
+        )
+        doctored = dataclasses.replace(transcript, turns=(first, repeat))
         with pytest.raises(ReplayDivergenceError):
             list(iter_turn_decisions([doctored], base_graph))
 
