@@ -1,21 +1,24 @@
 """HTTP chat-completion client and the LLM-backed seeker/oracle/pruner.
 
 One wire protocol covers every served model: POST {base_url}/chat/completions
-with a messages array, bearer token from an environment variable. The three
+with a messages array, bearer token from an environment variable, sent with
+the standard library's urllib (which honours HTTP(S)_PROXY and no_proxy and
+verifies TLS against the system CA store). The three
 fixed system prompts below define the roles; user messages are deterministic
 renderings of game state built by the build_*_messages functions.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
-
-import requests
+import urllib.error
+import urllib.request
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterator, Sequence
 
 from .agents import AgentFailure, OracleOutput, PrunerOutput, SeekerContext, SeekerOutput
 from .taxonomy import HypothesisGraph, NodeId
@@ -165,6 +168,7 @@ class CompletionResult:
     text: str
     reasoning_trace: str | None = None
     raw: Any = field(default=None, compare=False)
+    parsed: Any = field(default=None, compare=False)
 
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
@@ -177,11 +181,57 @@ def _split_reasoning(text: str) -> tuple[str, str | None]:
     return remainder, ("\n\n".join(blocks) if blocks else None)
 
 
-def complete(endpoint: EndpointConfig, messages: Sequence[ChatMessage]) -> CompletionResult:
-    """One chat completion with retry on transport faults, 5xx/429, and empty text.
+def _retryable(exc: WireError) -> bool:
+    return not isinstance(exc, ProviderError) or exc.status == 429 or exc.status >= 500
 
-    At most max_retries + 1 attempts, exponential backoff between them.
-    Non-retryable provider statuses raise ProviderError immediately.
+
+def _post(
+    endpoint: EndpointConfig, url: str, data: bytes, headers: dict[str, str]
+) -> CompletionResult:
+    """One POST and its decoded completion; every fault is a WireError."""
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
+            raw = response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            raise ProviderError(exc.code, exc.read().decode("utf-8", "replace")) from None
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        raise TransportError(str(exc) or type(exc).__name__) from exc
+
+    try:
+        body = json.loads(raw)
+        message = body["choices"][0]["message"]
+        text = message.get("content") or ""
+        provider_trace = message.get("reasoning_content") or message.get("reasoning")
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError):
+        unusable = raw.decode("utf-8", "replace")[:500]
+        raise EmptyCompletionError(f"unusable completion body: {unusable}") from None
+
+    trace = provider_trace.strip() if isinstance(provider_trace, str) and provider_trace.strip() else None
+    if endpoint.reasoning_enabled and "<think>" in text:
+        text, inline = _split_reasoning(text)
+        if inline:
+            trace = f"{trace}\n\n{inline}" if trace else inline
+    text = text.strip()
+    if not text:
+        raise EmptyCompletionError("completion had no text content")
+    return CompletionResult(text=text, reasoning_trace=trace, raw=body)
+
+
+def complete(
+    endpoint: EndpointConfig,
+    messages: Sequence[ChatMessage],
+    parse: Callable[[str], Any] | None = None,
+) -> CompletionResult:
+    """One chat completion within one budget of max_retries + 1 requests.
+
+    `parse`, the caller's reply parser, reads the completion text and its
+    value becomes `parsed`. A transport fault, a 5xx or 429, an empty or
+    unusable completion and a MalformedResponseError from `parse` each use
+    up one attempt, and every retry waits the same exponential backoff.
+    Other provider statuses raise ProviderError at once; a spent budget
+    raises the last error.
     """
     payload: dict[str, Any] = {
         "model": endpoint.model_name,
@@ -196,41 +246,20 @@ def complete(endpoint: EndpointConfig, messages: Sequence[ChatMessage]) -> Compl
             headers["Authorization"] = f"Bearer {key}"
 
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
+    data = json.dumps(payload).encode("utf-8")
     last_error: WireError = TransportError("no attempt made")
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             time.sleep(endpoint.backoff_seconds * (2 ** (attempt - 1)))
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=endpoint.timeout)
-        except requests.RequestException as exc:
-            last_error = TransportError(str(exc))
-            continue
-
-        if response.status_code == 429 or response.status_code >= 500:
-            last_error = ProviderError(response.status_code, response.text)
-            continue
-        if not 200 <= response.status_code < 300:
-            raise ProviderError(response.status_code, response.text)
-
-        try:
-            body = response.json()
-            message = body["choices"][0]["message"]
-            text = message.get("content") or ""
-            provider_trace = message.get("reasoning_content") or message.get("reasoning")
-        except (ValueError, KeyError, IndexError, TypeError):
-            last_error = EmptyCompletionError(f"unusable completion body: {response.text[:500]}")
-            continue
-
-        trace = provider_trace.strip() if isinstance(provider_trace, str) and provider_trace.strip() else None
-        if endpoint.reasoning_enabled and "<think>" in text:
-            text, inline = _split_reasoning(text)
-            if inline:
-                trace = f"{trace}\n\n{inline}" if trace else inline
-        text = text.strip()
-        if not text:
-            last_error = EmptyCompletionError("completion had no text content")
-            continue
-        return CompletionResult(text=text, reasoning_trace=trace, raw=body)
+            result = _post(endpoint, url, data, headers)
+            if parse is not None:
+                result = replace(result, parsed=parse(result.text))
+            return result
+        except WireError as exc:
+            if not _retryable(exc):
+                raise
+            last_error = exc
     raise last_error
 
 
@@ -376,6 +405,18 @@ def _audit_blob(messages: Sequence[ChatMessage], result: CompletionResult) -> st
     )
 
 
+def _call(
+    endpoint: EndpointConfig,
+    messages: list[ChatMessage],
+    role: str,
+    parse: Callable[[str], Any] | None = None,
+) -> CompletionResult:
+    try:
+        return complete(endpoint, messages, parse)
+    except WireError as exc:
+        raise AgentFailure(f"{role} backend failed: {exc}") from exc
+
+
 class LLMSeeker:
     """Text-conditioned seeker; sees only the rendered context, never the graph."""
 
@@ -384,10 +425,7 @@ class LLMSeeker:
 
     def ask(self, ctx: SeekerContext) -> SeekerOutput:
         messages = build_seeker_messages(ctx, self.endpoint.reasoning_suffix)
-        try:
-            result = complete(self.endpoint, messages)
-        except WireError as exc:
-            raise AgentFailure(f"seeker backend failed: {exc}") from exc
+        result = _call(self.endpoint, messages, "seeker")
         return SeekerOutput(
             question_text=result.text,
             predicate=None,
@@ -410,23 +448,8 @@ class LLMOracle:
         messages = build_oracle_messages(
             question.question_text, graph, target, history, self.endpoint.reasoning_suffix
         )
-        last: Exception | None = None
-        for _ in range(self.endpoint.max_retries + 1):
-            try:
-                result = complete(self.endpoint, messages)
-                parsed = parse_oracle_json(result.text)
-            except MalformedResponseError as exc:
-                last = exc
-                continue
-            except WireError as exc:
-                raise AgentFailure(f"oracle backend failed: {exc}") from exc
-            return OracleOutput(
-                rationale=parsed.rationale,
-                answer=parsed.answer,
-                game_over=parsed.game_over,
-                raw=_audit_blob(messages, result),
-            )
-        raise AgentFailure(f"oracle reply unparseable after retries: {last}")
+        result = _call(self.endpoint, messages, "oracle", parse_oracle_json)
+        return replace(result.parsed, raw=_audit_blob(messages, result))
 
 
 class LLMPruner:
@@ -447,19 +470,5 @@ class LLMPruner:
             turn_index,
             self.endpoint.reasoning_suffix,
         )
-        last: Exception | None = None
-        for _ in range(self.endpoint.max_retries + 1):
-            try:
-                result = complete(self.endpoint, messages)
-                parsed = parse_pruner_json(result.text)
-            except MalformedResponseError as exc:
-                last = exc
-                continue
-            except WireError as exc:
-                raise AgentFailure(f"pruner backend failed: {exc}") from exc
-            return PrunerOutput(
-                rationale=parsed.rationale,
-                pruned_ids=parsed.pruned_ids,
-                raw=_audit_blob(messages, result),
-            )
-        raise AgentFailure(f"pruner reply unparseable after retries: {last}")
+        result = _call(self.endpoint, messages, "pruner", parse_pruner_json)
+        return replace(result.parsed, raw=_audit_blob(messages, result))

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .engine import GameTranscript, replay_turns
-from .llm import ChatMessage, EndpointConfig, WireError, complete, iter_json_values
+from .llm import (
+    ChatMessage,
+    EndpointConfig,
+    MalformedResponseError,
+    WireError,
+    complete,
+    iter_json_values,
+)
 from .questions import Predicate, QuestionParser, counterfactual_ig
 from .taxonomy import HypothesisGraph, NodeId
 
@@ -130,13 +137,16 @@ class LLMExtractor:
             ChatMessage("user", trace),
         ]
         try:
-            result = complete(self.endpoint, messages)
+            return _dedupe(complete(self.endpoint, messages, _first_string_array).parsed)
         except WireError as exc:
             raise ExtractorFailureError(str(exc)) from exc
-        for arr in iter_json_values(result.text, "["):
-            if all(isinstance(x, str) for x in arr):
-                return _dedupe(arr)
-        raise ExtractorFailureError(f"no JSON string array in reply: {result.text[:200]!r}")
+
+
+def _first_string_array(text: str) -> list[str]:
+    for arr in iter_json_values(text, "["):
+        if all(isinstance(x, str) for x in arr):
+            return arr
+    raise MalformedResponseError(f"no JSON string array in reply: {text[:200]!r}")
 
 
 def extract_candidates(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import random
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from infoseek.llm import (
     MalformedResponseError,
     NonCityIdInResponseError,
     ProviderError,
+    TransportError,
     build_oracle_messages,
     build_pruner_messages,
     build_seeker_messages,
@@ -247,6 +249,25 @@ class TestComplete:
         assert len(mock_llm.requests) == 3  # max_retries + 1, no more
         assert exc_info.value.status == 500
 
+    def test_parse_fault_uses_an_attempt(self, mock_llm):
+        mock_llm.say("not json")
+        mock_llm.say(ORACLE_OK)
+        result = complete(
+            endpoint_for(mock_llm, max_retries=1), [ChatMessage("user", "hi")], parse_oracle_json
+        )
+        assert result.parsed.answer == "Yes"
+        assert len(mock_llm.requests) == 2
+
+    def test_refused_connection_is_a_transport_error(self):
+        with socket.socket() as sock:  # a port with no listener once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        endpoint = EndpointConfig(
+            base_url=f"http://127.0.0.1:{port}", model_name="m", max_retries=1, backoff_seconds=0
+        )
+        with pytest.raises(TransportError):
+            complete(endpoint, [ChatMessage("user", "hi")])
+
     def test_client_error_fails_immediately(self, mock_llm):
         mock_llm.enqueue(404, "no such model")
         with pytest.raises(ProviderError):
@@ -404,6 +425,26 @@ class TestLLMAgents:
             turn_index=1,
         )
         assert out.pruned_ids == (NodeId(Level.CITY, 5), NodeId(Level.CITY, 13))
+
+    @pytest.mark.parametrize("role", ["oracle", "pruner"])
+    @pytest.mark.parametrize("faults", [("5xx", "malformed"), ("malformed", "5xx")])
+    def test_one_budget_covers_server_and_parse_faults(self, mock_llm, graph, role, faults):
+        for fault in faults:
+            if fault == "5xx":
+                mock_llm.enqueue(500, "down")
+            else:
+                mock_llm.say("not json")
+        for _ in range(2):  # good replies that only a second retry loop would reach
+            mock_llm.say(ORACLE_OK if role == "oracle" else PRUNER_OK)
+        endpoint = endpoint_for(mock_llm, max_retries=1)
+        question = SeekerOutput(question_text="Is the target city in Asia?")
+        with pytest.raises(AgentFailure):
+            if role == "oracle":
+                LLMOracle(endpoint).answer(question, NodeId(Level.CITY, 1), graph, [])
+            else:
+                answer = OracleOutput(rationale="", answer="Yes", game_over=False)
+                LLMPruner(endpoint).prune_decision(question, answer, graph)
+        assert len(mock_llm.requests) == 2  # max_retries + 1, whatever the causes
 
     def test_pruner_rejects_non_city_ids_then_fails(self, mock_llm, graph):
         mock_llm.say('{"rationale": "x", "pruned_ids": ["region:1"]}')
