@@ -1,11 +1,11 @@
 """HTTP chat-completion client and the LLM-backed seeker/oracle/pruner.
 
 One wire protocol covers every served model: POST {base_url}/chat/completions
-with a messages array, bearer token from an environment variable, sent with
-the standard library's urllib (which honours HTTP(S)_PROXY and no_proxy and
-verifies TLS against the system CA store). The three
-fixed system prompts below define the roles; user messages are deterministic
-renderings of game state built by the build_*_messages functions.
+with a messages array, bearer token from an environment variable, sent by
+stdlib urllib (HTTP(S)_PROXY honoured, TLS checked against the system CA
+store). The three fixed system prompts below define the roles; user messages
+are deterministic renderings of game state built by the build_*_messages
+functions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import re
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Iterator, Sequence
 
 from .agents import AgentFailure, OracleOutput, PrunerOutput, SeekerContext, SeekerOutput
@@ -174,17 +174,6 @@ class CompletionResult:
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
 
 
-def _split_reasoning(text: str) -> tuple[str, str | None]:
-    """Pull inline <think>…</think> blocks out of a completion."""
-    blocks = [m.strip() for m in _THINK_RE.findall(text) if m.strip()]
-    remainder = _THINK_RE.sub("", text).strip()
-    return remainder, ("\n\n".join(blocks) if blocks else None)
-
-
-def _retryable(exc: WireError) -> bool:
-    return not isinstance(exc, ProviderError) or exc.status == 429 or exc.status >= 500
-
-
 def _post(
     endpoint: EndpointConfig, url: str, data: bytes, headers: dict[str, str]
 ) -> CompletionResult:
@@ -208,11 +197,12 @@ def _post(
         unusable = raw.decode("utf-8", "replace")[:500]
         raise EmptyCompletionError(f"unusable completion body: {unusable}") from None
 
-    trace = provider_trace.strip() if isinstance(provider_trace, str) and provider_trace.strip() else None
-    if endpoint.reasoning_enabled and "<think>" in text:
-        text, inline = _split_reasoning(text)
-        if inline:
-            trace = f"{trace}\n\n{inline}" if trace else inline
+    # The provider's reasoning channel first, then any inline <think> blocks.
+    traces = [provider_trace] if isinstance(provider_trace, str) else []
+    if endpoint.reasoning_enabled:
+        traces += _THINK_RE.findall(text)
+        text = _THINK_RE.sub("", text)
+    trace = "\n\n".join(t.strip() for t in traces if t.strip()) or None
     text = text.strip()
     if not text:
         raise EmptyCompletionError("completion had no text content")
@@ -235,15 +225,14 @@ def complete(
     """
     payload: dict[str, Any] = {
         "model": endpoint.model_name,
-        "messages": [{"role": m.role, "content": m.content} for m in messages],
+        "messages": [asdict(m) for m in messages],
     }
     if endpoint.temperature is not None:
         payload["temperature"] = endpoint.temperature
     headers = {"Content-Type": "application/json"}
-    if endpoint.api_key_env:
-        key = os.environ.get(endpoint.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
+    key = os.environ.get(endpoint.api_key_env, "") if endpoint.api_key_env else ""
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
 
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     data = json.dumps(payload).encode("utf-8")
@@ -257,7 +246,7 @@ def complete(
                 result = replace(result, parsed=parse(result.text))
             return result
         except WireError as exc:
-            if not _retryable(exc):
+            if isinstance(exc, ProviderError) and exc.status != 429 and exc.status < 500:
                 raise
             last_error = exc
     raise last_error
@@ -324,14 +313,18 @@ def parse_pruner_json(text: str) -> PrunerOutput:
     return PrunerOutput(rationale=rationale, pruned_ids=tuple(ids), raw=text)
 
 
+def parse_extractor_json(text: str) -> list[str]:
+    """Parse a candidate-extraction reply: the first JSON array of strings."""
+    for arr in iter_json_values(text, "["):
+        if all(isinstance(x, str) for x in arr):
+            return arr
+    raise MalformedResponseError(f"no JSON string array in reply: {text[:200]!r}")
+
+
 def render_history(history: Sequence[tuple[str, str]]) -> str:
     if not history:
         return "No questions asked yet."
-    lines = []
-    for i, (question, answer) in enumerate(history, start=1):
-        lines.append(f"Q{i}: {question}")
-        lines.append(f"A{i}: {answer}")
-    return "\n".join(lines)
+    return "\n".join(f"Q{i}: {q}\nA{i}: {a}" for i, (q, a) in enumerate(history, start=1))
 
 
 def render_target_record(graph: HypothesisGraph, target: NodeId) -> str:
@@ -343,9 +336,7 @@ def render_target_record(graph: HypothesisGraph, target: NodeId) -> str:
 
 
 def _system(prompt: str, reasoning_suffix: str | None) -> ChatMessage:
-    if reasoning_suffix:
-        prompt = prompt + reasoning_suffix
-    return ChatMessage("system", prompt)
+    return ChatMessage("system", prompt + (reasoning_suffix or ""))
 
 
 def build_seeker_messages(
@@ -395,37 +386,35 @@ def build_pruner_messages(
 
 
 def _audit_blob(messages: Sequence[ChatMessage], result: CompletionResult) -> str:
-    return json.dumps(
-        {
-            "request": [{"role": m.role, "content": m.content} for m in messages],
-            "response": result.raw,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
+    blob = {"request": [asdict(m) for m in messages], "response": result.raw}
+    return json.dumps(blob, ensure_ascii=False, sort_keys=True)
 
 
-def _call(
-    endpoint: EndpointConfig,
-    messages: list[ChatMessage],
-    role: str,
-    parse: Callable[[str], Any] | None = None,
-) -> CompletionResult:
-    try:
-        return complete(endpoint, messages, parse)
-    except WireError as exc:
-        raise AgentFailure(f"{role} backend failed: {exc}") from exc
+class _LLMAgent:
+    """One role on one endpoint; a WireError fails the game as an AgentFailure."""
 
-
-class LLMSeeker:
-    """Text-conditioned seeker; sees only the rendered context, never the graph."""
+    role = ""
 
     def __init__(self, endpoint: EndpointConfig) -> None:
         self.endpoint = endpoint
 
+    def _complete(
+        self, messages: list[ChatMessage], parse: Callable[[str], Any] | None = None
+    ) -> CompletionResult:
+        try:
+            return complete(self.endpoint, messages, parse)
+        except WireError as exc:
+            raise AgentFailure(f"{self.role} backend failed: {exc}") from exc
+
+
+class LLMSeeker(_LLMAgent):
+    """Text-conditioned seeker; sees only the rendered context, never the graph."""
+
+    role = "seeker"
+
     def ask(self, ctx: SeekerContext) -> SeekerOutput:
         messages = build_seeker_messages(ctx, self.endpoint.reasoning_suffix)
-        result = _call(self.endpoint, messages, "seeker")
+        result = self._complete(messages)
         return SeekerOutput(
             question_text=result.text,
             predicate=None,
@@ -434,9 +423,8 @@ class LLMSeeker:
         )
 
 
-class LLMOracle:
-    def __init__(self, endpoint: EndpointConfig) -> None:
-        self.endpoint = endpoint
+class LLMOracle(_LLMAgent):
+    role = "oracle"
 
     def answer(
         self,
@@ -448,13 +436,12 @@ class LLMOracle:
         messages = build_oracle_messages(
             question.question_text, graph, target, history, self.endpoint.reasoning_suffix
         )
-        result = _call(self.endpoint, messages, "oracle", parse_oracle_json)
+        result = self._complete(messages, parse_oracle_json)
         return replace(result.parsed, raw=_audit_blob(messages, result))
 
 
-class LLMPruner:
-    def __init__(self, endpoint: EndpointConfig) -> None:
-        self.endpoint = endpoint
+class LLMPruner(_LLMAgent):
+    role = "pruner"
 
     def prune_decision(
         self,
@@ -470,5 +457,5 @@ class LLMPruner:
             turn_index,
             self.endpoint.reasoning_suffix,
         )
-        result = _call(self.endpoint, messages, "pruner", parse_pruner_json)
+        result = self._complete(messages, parse_pruner_json)
         return replace(result.parsed, raw=_audit_blob(messages, result))

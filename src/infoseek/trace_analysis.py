@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .engine import GameTranscript, replay_turns
-from .llm import (
-    ChatMessage,
-    EndpointConfig,
-    MalformedResponseError,
-    WireError,
-    complete,
-    iter_json_values,
-)
+from .llm import ChatMessage, EndpointConfig, WireError, complete, parse_extractor_json
 from .questions import Predicate, QuestionParser, counterfactual_ig
 from .taxonomy import HypothesisGraph, NodeId
 
@@ -132,21 +125,11 @@ class LLMExtractor:
         self.endpoint = endpoint
 
     def extract(self, trace: str) -> list[str]:
-        messages = [
-            ChatMessage("system", LLM_EXTRACTION_PROMPT),
-            ChatMessage("user", trace),
-        ]
+        messages = [ChatMessage("system", LLM_EXTRACTION_PROMPT), ChatMessage("user", trace)]
         try:
-            return _dedupe(complete(self.endpoint, messages, _first_string_array).parsed)
+            return _dedupe(complete(self.endpoint, messages, parse_extractor_json).parsed)
         except WireError as exc:
             raise ExtractorFailureError(str(exc)) from exc
-
-
-def _first_string_array(text: str) -> list[str]:
-    for arr in iter_json_values(text, "["):
-        if all(isinstance(x, str) for x in arr):
-            return arr
-    raise MalformedResponseError(f"no JSON string array in reply: {text[:200]!r}")
 
 
 def extract_candidates(
