@@ -34,13 +34,14 @@ class TargetNotActiveError(GraphError):
 
 
 def _normalize_values(values: tuple[str, ...]) -> tuple[str, ...]:
-    """Strip, drop case-duplicates (first spelling wins), sort casefolded."""
+    """Strip, keep the smallest spelling of each case-variant (order-free), sort casefolded."""
     seen: dict[str, str] = {}
     for v in values:
         v = v.strip()
         if not v:
             raise PredicateError("empty value in predicate")
-        seen.setdefault(v.casefold(), v)
+        key = v.casefold()
+        seen[key] = min(seen.get(key, v), v)
     return tuple(sorted(seen.values(), key=lambda v: (v.casefold(), v)))
 
 
