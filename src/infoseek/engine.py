@@ -1,10 +1,10 @@
 """Turn-based game loop, transcript recording, and deterministic replay.
 
 Every turn runs three phases in order — seeker asks, oracle answers,
-pruner eliminates — then entropy is snapshotted. A game ends on the
-oracle's game_over flag (after the prune phase), at the turn cap, or when
-an agent fails. Transcripts round-trip through line-delimited JSON and
-can be replayed bit-for-bit against the same dataset.
+pruner eliminates — then entropy is snapshotted. A game ends in a win when
+the oracle says game_over and the prune has left only the target active,
+at the turn cap, or when an agent fails. Transcripts round-trip through
+line-delimited JSON and can be replayed bit-for-bit against the same dataset.
 """
 
 from __future__ import annotations
@@ -158,9 +158,7 @@ def play_game(
 
     for turn_index in range(1, cfg.max_turns + 1):
         n_before = graph.active_count()
-        graph_text = (
-            graph.serialize_state() if cfg.observability is Observability.FULL else None
-        )
+        graph_text = graph.serialize_state() if cfg.observability is Observability.FULL else None
         ctx = SeekerContext(
             history=list(history),
             turn_index=turn_index,
@@ -179,6 +177,10 @@ def play_game(
         valid, faults = _validated_prune(prune.pruned_ids, graph, cfg.target)
         if valid:
             graph.prune(valid)
+        # The target is never pruned, so a win is a claim with one city left.
+        won = answer.game_over and graph.active_count() == 1
+        if answer.game_over and not won:
+            faults.append("false_game_over")
         metrics = TurnMetrics.measure(turn_index, n_before, graph.active_count())
         record = TurnRecord(
             turn_index=turn_index,
@@ -199,7 +201,7 @@ def play_game(
                     audit_events.append(AuditEvent(turn_index, role, output.raw))
         if on_turn is not None:
             on_turn(record, graph)
-        if answer.game_over:
+        if won:
             outcome = OUTCOME_WIN
             break
 

@@ -101,6 +101,25 @@ class TestPlayGame:
         assert len(transcript.turns[-1].pruned_ids) == 39
         assert transcript.turns[-1].metrics.h_after == 0.0
 
+    def test_false_game_over_is_a_fault_not_a_win(self, graph):
+        class EagerOracle:
+            """Truthful, but claims the game is over on turn 1."""
+
+            def answer(self, question, target, graph, history):
+                out = RuleOracle().answer(question, target, graph, history)
+                return dataclasses.replace(out, game_over=out.game_over or not history)
+
+        cfg = GameConfig(target=TOKYO)
+        transcript = play_game(GreedyHalvingSeeker(), EagerOracle(), RulePruner(), graph, cfg)
+        first = transcript.turns[0]
+        assert first.game_over_flag is True
+        assert first.consistency_faults == ("false_game_over",)
+        assert len(transcript.turns) > 1  # play went on
+        assert transcript.outcome == OUTCOME_WIN
+        assert transcript.turns[-1].game_over_flag is True
+        assert transcript.turns[-1].metrics.h_after == 0.0
+        assert math.isclose(transcript.game_metrics.total_ig, math.log2(40), abs_tol=1e-9)
+
     def test_agent_failure_charges_full_budget(self, graph):
         seeker = ScriptedSeeker([AttributeIn(Level.REGION, ("Asia",))])  # then exhausted
         transcript = rule_game(graph, TOKYO, seeker, max_turns=30)
@@ -240,7 +259,10 @@ class TestPruneFaultFiltering:
             graph,
             GameConfig(target=TOKYO, max_turns=2),
         )
-        assert transcript.outcome == OUTCOME_WIN
+        assert len(transcript.turns) == 2
+        # The right guess ends no game while the pruner leaves 38 other cities.
+        assert "false_game_over" in transcript.turns[1].consistency_faults
+        assert transcript.outcome == OUTCOME_TURN_LIMIT
 
 
 class TestDeterminism:
