@@ -98,6 +98,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if cfg.output_dir:
         _stderr(f"outputs written under {cfg.output_dir}")
+    if report.transcripts and report.failure_count == len(report.transcripts):
+        _stderr(f"runtime failure: all {report.failure_count} games ended in agent_failure")
+        return 2
     return 0
 
 

@@ -98,6 +98,17 @@ class TestRun:
         assert len(list((out_dir / "transcripts").glob("*.jsonl"))) == 40
         assert str(out_dir) in err
 
+    def test_every_game_failing_is_a_runtime_failure(self, capsys, tmp_path, mock_llm):
+        for _ in range(40):
+            mock_llm.enqueue(401, "invalid api key")
+        endpoint = {"base_url": mock_llm.url, "model_name": "m", "backoff_seconds": 0.01}
+        cfg = self.write_config(tmp_path, seeker={"kind": "llm", "endpoint": endpoint})
+        code, _, err = run_cli(capsys, "run", str(cfg))
+        assert code == 2
+        assert "agent failures: 40" in err
+        assert "all 40 games ended in agent_failure" in err
+        assert len(mock_llm.requests) == 40  # a 401 is not retried
+
     def test_bad_config_file(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"schema_version": 1}', encoding="utf-8")
