@@ -158,7 +158,9 @@ def play_game(
 
     for turn_index in range(1, cfg.max_turns + 1):
         n_before = graph.active_count()
-        graph_text = graph.serialize_state() if cfg.observability is Observability.FULL else None
+        graph_text = (
+            graph.serialize_state() if cfg.observability is Observability.FULL else None
+        )
         ctx = SeekerContext(
             history=list(history),
             turn_index=turn_index,

@@ -230,26 +230,26 @@ def complete(
     if endpoint.temperature is not None:
         payload["temperature"] = endpoint.temperature
     headers = {"Content-Type": "application/json"}
-    key = os.environ.get(endpoint.api_key_env, "") if endpoint.api_key_env else ""
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
+    if endpoint.api_key_env:
+        key = os.environ.get(endpoint.api_key_env, "")
+        if key:
+            headers["Authorization"] = f"Bearer {key}"
 
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     data = json.dumps(payload).encode("utf-8")
-    last_error: WireError = TransportError("no attempt made")
-    for attempt in range(endpoint.max_retries + 1):
-        if attempt:
-            time.sleep(endpoint.backoff_seconds * (2 ** (attempt - 1)))
+    attempt = 0
+    while True:
         try:
             result = _post(endpoint, url, data, headers)
             if parse is not None:
                 result = replace(result, parsed=parse(result.text))
             return result
         except WireError as exc:
-            if isinstance(exc, ProviderError) and exc.status != 429 and exc.status < 500:
+            fatal = isinstance(exc, ProviderError) and exc.status != 429 and exc.status < 500
+            if fatal or attempt == endpoint.max_retries:
                 raise
-            last_error = exc
-    raise last_error
+        time.sleep(endpoint.backoff_seconds * 2**attempt)
+        attempt += 1
 
 
 def iter_json_values(text: str, opener: str) -> Iterator[Any]:
@@ -324,7 +324,11 @@ def parse_extractor_json(text: str) -> list[str]:
 def render_history(history: Sequence[tuple[str, str]]) -> str:
     if not history:
         return "No questions asked yet."
-    return "\n".join(f"Q{i}: {q}\nA{i}: {a}" for i, (q, a) in enumerate(history, start=1))
+    lines = []
+    for i, (question, answer) in enumerate(history, start=1):
+        lines.append(f"Q{i}: {question}")
+        lines.append(f"A{i}: {answer}")
+    return "\n".join(lines)
 
 
 def render_target_record(graph: HypothesisGraph, target: NodeId) -> str:
@@ -336,7 +340,9 @@ def render_target_record(graph: HypothesisGraph, target: NodeId) -> str:
 
 
 def _system(prompt: str, reasoning_suffix: str | None) -> ChatMessage:
-    return ChatMessage("system", prompt + (reasoning_suffix or ""))
+    if reasoning_suffix:
+        prompt = prompt + reasoning_suffix
+    return ChatMessage("system", prompt)
 
 
 def build_seeker_messages(
@@ -393,8 +399,6 @@ def _audit_blob(messages: Sequence[ChatMessage], result: CompletionResult) -> st
 class _LLMAgent:
     """One role on one endpoint; a WireError fails the game as an AgentFailure."""
 
-    role = ""
-
     def __init__(self, endpoint: EndpointConfig) -> None:
         self.endpoint = endpoint
 
@@ -404,13 +408,11 @@ class _LLMAgent:
         try:
             return complete(self.endpoint, messages, parse)
         except WireError as exc:
-            raise AgentFailure(f"{self.role} backend failed: {exc}") from exc
+            raise AgentFailure(f"{type(self).__name__} backend failed: {exc}") from exc
 
 
 class LLMSeeker(_LLMAgent):
     """Text-conditioned seeker; sees only the rendered context, never the graph."""
-
-    role = "seeker"
 
     def ask(self, ctx: SeekerContext) -> SeekerOutput:
         messages = build_seeker_messages(ctx, self.endpoint.reasoning_suffix)
@@ -424,8 +426,6 @@ class LLMSeeker(_LLMAgent):
 
 
 class LLMOracle(_LLMAgent):
-    role = "oracle"
-
     def answer(
         self,
         question: SeekerOutput,
@@ -441,8 +441,6 @@ class LLMOracle(_LLMAgent):
 
 
 class LLMPruner(_LLMAgent):
-    role = "pruner"
-
     def prune_decision(
         self,
         question: SeekerOutput,
