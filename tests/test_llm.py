@@ -258,15 +258,16 @@ class TestComplete:
         assert result.parsed.answer == "Yes"
         assert len(mock_llm.requests) == 2
 
-    def test_refused_connection_is_a_transport_error(self):
+    def test_refused_connection_or_bad_url_is_a_transport_error(self):
         with socket.socket() as sock:  # a port with no listener once closed
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        endpoint = EndpointConfig(
-            base_url=f"http://127.0.0.1:{port}", model_name="m", max_retries=1, backoff_seconds=0
-        )
-        with pytest.raises(TransportError):
-            complete(endpoint, [ChatMessage("user", "hi")])
+        for base_url in (f"http://127.0.0.1:{port}", f"127.0.0.1:{port}"):
+            endpoint = EndpointConfig(
+                base_url=base_url, model_name="m", max_retries=1, backoff_seconds=0
+            )
+            with pytest.raises(TransportError):
+                complete(endpoint, [ChatMessage("user", "hi")])
 
     def test_client_error_fails_immediately(self, mock_llm):
         mock_llm.enqueue(404, "no such model")
