@@ -23,8 +23,9 @@ from .agents import (
     Seeker,
     SeekerContext,
 )
+from .codec import decode, encode, field_names
 from .metrics import GameMetrics, TurnMetrics, entropy
-from .questions import Predicate, PredicateError, parse_canonical
+from .questions import Predicate
 from .taxonomy import GraphError, HypothesisGraph, Level, NodeId
 
 SCHEMA_VERSION = 1
@@ -75,7 +76,7 @@ class TurnRecord:
     question_text: str
     predicate: Predicate | None
     oracle_answer: str
-    game_over_flag: bool
+    game_over: bool
     pruned_ids: tuple[NodeId, ...]
     metrics: TurnMetrics
     seeker_trace: str | None = None
@@ -189,7 +190,7 @@ def play_game(
             question_text=question.question_text,
             predicate=question.predicate,
             oracle_answer=answer.answer,
-            game_over_flag=answer.game_over,
+            game_over=answer.game_over,
             pruned_ids=tuple(valid),
             metrics=metrics,
             seeker_trace=question.reasoning_trace,
@@ -285,76 +286,42 @@ def _dump(obj: dict) -> str:
 
 
 def transcript_to_jsonl(transcript: GameTranscript) -> str:
-    """One self-contained line-delimited document: header, turns, footer."""
-    cfg = transcript.config
-    lines = [
-        _dump(
-            {
-                "kind": "header",
-                "schema_version": SCHEMA_VERSION,
-                "dataset_fingerprint": transcript.dataset_fingerprint,
-                "config": {
-                    "target": str(cfg.target),
-                    "max_turns": cfg.max_turns,
-                    "observability": cfg.observability.value,
-                    "rng_seed": cfg.rng_seed,
-                    "audit": cfg.audit,
-                },
-            }
-        )
-    ]
+    """One self-contained line-delimited document: header, turns, footer.
+
+    A turn row carries its metrics' fields at its top level; the footer
+    leaves out per_turn, which the turn rows already hold.
+    """
+    header = {
+        "kind": "header",
+        "schema_version": SCHEMA_VERSION,
+        "dataset_fingerprint": transcript.dataset_fingerprint,
+        "config": encode(transcript.config),
+    }
+    lines = [_dump(header)]
     for turn in transcript.turns:
-        lines.append(
-            _dump(
-                {
-                    "kind": "turn",
-                    "turn_index": turn.turn_index,
-                    "question_text": turn.question_text,
-                    "predicate": turn.predicate.canonical() if turn.predicate else None,
-                    "oracle_answer": turn.oracle_answer,
-                    "game_over": turn.game_over_flag,
-                    "pruned_ids": [str(i) for i in turn.pruned_ids],
-                    "h_before": turn.metrics.h_before,
-                    "h_after": turn.metrics.h_after,
-                    "ig": turn.metrics.ig,
-                    "seeker_trace": turn.seeker_trace,
-                    "consistency_faults": list(turn.consistency_faults),
-                }
-            )
-        )
-    for event in transcript.audit_events:
-        lines.append(
-            _dump(
-                {
-                    "kind": "audit",
-                    "turn_index": event.turn_index,
-                    "role": event.role,
-                    "payload": event.payload,
-                }
-            )
-        )
+        row = encode(turn)
+        row.update(row.pop("metrics"), kind="turn")
+        lines.append(_dump(row))
+    lines.extend(_dump({"kind": "audit", **encode(e)}) for e in transcript.audit_events)
+    game_metrics = encode(transcript.game_metrics)
+    del game_metrics["per_turn"]
     lines.append(
-        _dump(
-            {
-                "kind": "footer",
-                "outcome": transcript.outcome,
-                "game_metrics": {
-                    "win": transcript.game_metrics.win,
-                    "turns": transcript.game_metrics.turns,
-                    "total_ig": transcript.game_metrics.total_ig,
-                    "ig_per_turn": transcript.game_metrics.ig_per_turn,
-                },
-            }
-        )
+        _dump({"kind": "footer", "outcome": transcript.outcome, "game_metrics": game_metrics})
     )
     return "\n".join(lines) + "\n"
 
 
+def _unflatten_metrics(row: dict) -> dict:
+    # The row's turn_index is also its metrics' turn_index.
+    row["metrics"] = {
+        name: row[name] if name == "turn_index" else row.pop(name)
+        for name in field_names(TurnMetrics)
+    }
+    return row
+
+
 def transcript_from_jsonl(text: str) -> GameTranscript:
-    header: dict | None = None
-    footer: dict | None = None
-    turn_rows: list[dict] = []
-    audit_rows: list[dict] = []
+    rows: dict[str, list[dict]] = {"header": [], "turn": [], "audit": [], "footer": []}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -362,80 +329,31 @@ def transcript_from_jsonl(text: str) -> GameTranscript:
             row = json.loads(line)
         except ValueError as exc:
             raise TranscriptFormatError(f"line {line_no}: not JSON ({exc})") from None
-        kind = row.get("kind")
-        if kind == "header":
-            if header is not None:
-                raise TranscriptFormatError(f"line {line_no}: duplicate header")
-            header = row
-        elif kind == "turn":
-            turn_rows.append(row)
-        elif kind == "audit":
-            audit_rows.append(row)
-        elif kind == "footer":
-            if footer is not None:
-                raise TranscriptFormatError(f"line {line_no}: duplicate footer")
-            footer = row
-        else:
+        kind = row.pop("kind", None) if isinstance(row, dict) else None
+        if kind not in rows:
             raise TranscriptFormatError(f"line {line_no}: unknown kind {kind!r}")
-    if header is None or footer is None:
-        raise TranscriptFormatError("transcript needs a header and a footer")
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise TranscriptFormatError(
-            f"unsupported schema_version {header.get('schema_version')!r}"
-        )
+        rows[kind].append(row)
+    if len(rows["header"]) != 1 or len(rows["footer"]) != 1:
+        raise TranscriptFormatError("transcript needs exactly one header and one footer")
+    (header,), (footer,) = rows["header"], rows["footer"]
+    version = header.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
+        raise TranscriptFormatError(f"unsupported schema_version {version!r}")
 
     try:
-        raw_cfg = header["config"]
-        cfg = GameConfig(
-            target=NodeId.parse(raw_cfg["target"]),
-            max_turns=int(raw_cfg["max_turns"]),
-            observability=Observability(raw_cfg["observability"]),
-            rng_seed=int(raw_cfg["rng_seed"]),
-            audit=bool(raw_cfg["audit"]),
-        )
-        turns = []
-        for row in turn_rows:
-            predicate = row["predicate"]
-            turns.append(
-                TurnRecord(
-                    turn_index=int(row["turn_index"]),
-                    question_text=row["question_text"],
-                    predicate=parse_canonical(predicate) if predicate else None,
-                    oracle_answer=row["oracle_answer"],
-                    game_over_flag=bool(row["game_over"]),
-                    pruned_ids=tuple(NodeId.parse(i) for i in row["pruned_ids"]),
-                    metrics=TurnMetrics(
-                        turn_index=int(row["turn_index"]),
-                        h_before=float(row["h_before"]),
-                        h_after=float(row["h_after"]),
-                        ig=float(row["ig"]),
-                    ),
-                    seeker_trace=row.get("seeker_trace"),
-                    consistency_faults=tuple(row.get("consistency_faults", ())),
-                )
-            )
-        raw_gm = footer["game_metrics"]
+        turns = tuple(decode(TurnRecord, _unflatten_metrics(row)) for row in rows["turn"])
         # Stored totals are loaded verbatim (not recomputed) so that replay
         # can tell a tampered file from a faithful one.
-        game_metrics = GameMetrics(
-            win=bool(raw_gm["win"]),
-            turns=int(raw_gm["turns"]),
-            per_turn=tuple(t.metrics for t in turns),
-            total_ig=float(raw_gm["total_ig"]),
-            ig_per_turn=float(raw_gm["ig_per_turn"]),
+        game_metrics = decode(
+            GameMetrics, footer.pop("game_metrics"), per_turn=tuple(t.metrics for t in turns)
         )
-        audit_events = tuple(
-            AuditEvent(int(r["turn_index"]), r["role"], r["payload"]) for r in audit_rows
-        )
-        return GameTranscript(
-            config=cfg,
-            dataset_fingerprint=header["dataset_fingerprint"],
-            turns=tuple(turns),
-            outcome=footer["outcome"],
+        return decode(
+            GameTranscript,
+            {**header, **footer, "audit_events": rows["audit"]},
+            turns=turns,
             game_metrics=game_metrics,
-            audit_events=audit_events,
         )
-    except (KeyError, ValueError, TypeError, PredicateError) as exc:
+    except (KeyError, ValueError, InvalidTargetError) as exc:
         raise TranscriptFormatError(f"bad transcript field: {exc}") from exc
 
 

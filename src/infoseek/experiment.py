@@ -12,7 +12,7 @@ import hashlib
 import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -35,7 +35,8 @@ from .engine import (
     save_transcript,
 )
 from .llm import EndpointConfig, LLMOracle, LLMPruner, LLMSeeker
-from .metrics import AggregateMetrics, MeanSE, TimelinePoint, aggregate, ig_timeline
+from .codec import decode, encode
+from .metrics import AggregateMetrics, TimelinePoint, aggregate, ig_timeline
 from .taxonomy import NodeId, build_graph
 
 CONFIG_SCHEMA_VERSION = 1
@@ -55,20 +56,10 @@ class AgentSpec:
     endpoint: EndpointConfig | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"kind": self.kind}
-        if self.endpoint is not None:
-            d["endpoint"] = asdict(self.endpoint)
+        d = encode(self)
+        if self.endpoint is None:
+            del d["endpoint"]  # a rule agent is written as {"kind": ...}
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> AgentSpec:
-        endpoint = None
-        if "endpoint" in d and d["endpoint"] is not None:
-            try:
-                endpoint = EndpointConfig(**d["endpoint"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad endpoint config: {exc}") from exc
-        return cls(kind=d.get("kind", ""), endpoint=endpoint)
 
 
 @dataclass(frozen=True)
@@ -106,53 +97,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{role} kind 'llm' needs an endpoint")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "dataset_path": self.dataset_path,
-            "runs_per_target": self.runs_per_target,
-            "max_turns": self.max_turns,
-            "observability": self.observability.value,
-            "seeker": self.seeker.to_dict(),
-            "oracle": self.oracle.to_dict(),
-            "pruner": self.pruner.to_dict(),
-            "reasoning_enabled": self.reasoning_enabled,
-            "base_seed": self.base_seed,
-            "parallelism": self.parallelism,
-            "output_dir": self.output_dir,
-            "label": self.label,
-            "audit": self.audit,
-            "count_failures_as_losses": self.count_failures_as_losses,
-        }
+        return {"schema_version": CONFIG_SCHEMA_VERSION, **encode(self)}
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> ExperimentConfig:
+    def from_dict(cls, d: Any) -> ExperimentConfig:
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
         version = d.get("schema_version", CONFIG_SCHEMA_VERSION)
         if version != CONFIG_SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema_version {version!r}")
-        if "dataset_path" not in d:
-            raise ConfigError("config needs dataset_path")
         try:
-            observability = Observability(d.get("observability", "fo"))
-        except ValueError:
-            raise ConfigError(f"observability must be 'fo' or 'po', got {d['observability']!r}") from None
-        try:
-            return cls(
-                dataset_path=d["dataset_path"],
-                runs_per_target=int(d.get("runs_per_target", 3)),
-                max_turns=int(d.get("max_turns", 30)),
-                observability=observability,
-                seeker=AgentSpec.from_dict(d.get("seeker", {"kind": "greedy"})),
-                oracle=AgentSpec.from_dict(d.get("oracle", {"kind": "rule"})),
-                pruner=AgentSpec.from_dict(d.get("pruner", {"kind": "rule"})),
-                reasoning_enabled=bool(d.get("reasoning_enabled", False)),
-                base_seed=int(d.get("base_seed", 0)),
-                parallelism=int(d.get("parallelism", 1)),
-                output_dir=d.get("output_dir"),
-                label=d.get("label"),
-                audit=bool(d.get("audit", False)),
-                count_failures_as_losses=bool(d.get("count_failures_as_losses", True)),
-            )
-        except (TypeError, ValueError) as exc:
+            return decode(cls, {k: v for k, v in d.items() if k != "schema_version"})
+        except ValueError as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
     @classmethod
@@ -161,8 +117,6 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
 
 
@@ -280,35 +234,13 @@ def run_experiment(
     return report
 
 
-def _mean_se_dict(value: MeanSE) -> dict[str, float]:
-    return {"mean": value.mean, "se": value.se}
-
-
 def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "config": report.config.to_dict(),
-        "manifest": {
-            "source": report.manifest.source,
-            "record_count": report.manifest.record_count,
-            "content_hash": report.manifest.content_hash,
-            "top_n": report.manifest.top_n,
-        },
-        "per_game": list(report.per_game),
-        "n_games": report.aggregate.n_games,
-        "aggregate": {
-            "win_rate": _mean_se_dict(report.aggregate.win_rate),
-            "avg_turns": _mean_se_dict(report.aggregate.avg_turns),
-            "ig_per_turn": _mean_se_dict(report.aggregate.ig_per_turn),
-            "total_ig": _mean_se_dict(report.aggregate.total_ig),
-        },
-        "timeline": [
-            {"turn_index": p.turn_index, "mean_ig": p.mean_ig, "n_games": p.n_games}
-            for p in report.timeline
-        ],
-        "fault_summary": report.fault_summary,
-        "failure_count": report.failure_count,
-    }
+    """The report as written to report.json; its games are their own files."""
+    d = encode(replace(report, transcripts=()))
+    del d["transcripts"]
+    d["schema_version"] = CONFIG_SCHEMA_VERSION
+    d["n_games"] = d["aggregate"].pop("n_games")
+    return d
 
 
 def save_report(report: ExperimentReport, path: str | Path) -> None:
@@ -320,31 +252,13 @@ def save_report(report: ExperimentReport, path: str | Path) -> None:
 def load_report(path: str | Path) -> ExperimentReport:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        config = ExperimentConfig.from_dict(raw["config"])
-        manifest = DatasetManifest(**raw["manifest"])
-        agg = raw["aggregate"]
-        aggregate_metrics = AggregateMetrics(
-            n_games=int(raw["n_games"]),
-            win_rate=MeanSE(**agg["win_rate"]),
-            avg_turns=MeanSE(**agg["avg_turns"]),
-            ig_per_turn=MeanSE(**agg["ig_per_turn"]),
-            total_ig=MeanSE(**agg["total_ig"]),
-        )
-        timeline = tuple(
-            TimelinePoint(int(p["turn_index"]), p["mean_ig"], int(p["n_games"]))
-            for p in raw["timeline"]
-        )
-        return ExperimentReport(
-            config=config,
-            manifest=manifest,
-            per_game=tuple(raw["per_game"]),
-            aggregate=aggregate_metrics,
-            timeline=timeline,
-            fault_summary=dict(raw["fault_summary"]),
-            failure_count=int(raw["failure_count"]),
-        )
-    except ConfigError:
-        raise
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: a report must be a JSON object")
+        version = raw.pop("schema_version", None)
+        if version != CONFIG_SCHEMA_VERSION:
+            raise ConfigError(f"{path}: unsupported report schema_version {version!r}")
+        raw["aggregate"]["n_games"] = raw.pop("n_games")
+        return decode(ExperimentReport, raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad report file ({exc})") from exc
 

@@ -9,6 +9,7 @@ build, so transcripts can be replayed against the same graph.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -103,6 +104,7 @@ class NodeId:
         return (self.level.depth, self.numeric_id)
 
     @classmethod
+    @functools.lru_cache(maxsize=1 << 14)  # ids are immutable; a dataset has few
     def parse(cls, text: str) -> NodeId:
         m = _NODE_ID_RE.match(text)
         if m is None:

@@ -38,7 +38,7 @@ def manual_transcript(base_graph, target, turns_spec, max_turns=30):
                 question_text=question,
                 predicate=None,
                 oracle_answer=answer,
-                game_over_flag=False,
+                game_over=False,
                 pruned_ids=pruned,
                 metrics=TurnMetrics.measure(i, n_before, g.active_count()),
                 seeker_trace=trace,

@@ -97,7 +97,7 @@ class TestPlayGame:
         seeker = ScriptedSeeker([CityGuess("Tokyo")])
         transcript = rule_game(graph, TOKYO, seeker)
         # the winning turn still runs the pruner: 39 candidates removed
-        assert transcript.turns[-1].game_over_flag is True
+        assert transcript.turns[-1].game_over is True
         assert len(transcript.turns[-1].pruned_ids) == 39
         assert transcript.turns[-1].metrics.h_after == 0.0
 
@@ -112,11 +112,11 @@ class TestPlayGame:
         cfg = GameConfig(target=TOKYO)
         transcript = play_game(GreedyHalvingSeeker(), EagerOracle(), RulePruner(), graph, cfg)
         first = transcript.turns[0]
-        assert first.game_over_flag is True
+        assert first.game_over is True
         assert first.consistency_faults == ("false_game_over",)
         assert len(transcript.turns) > 1  # play went on
         assert transcript.outcome == OUTCOME_WIN
-        assert transcript.turns[-1].game_over_flag is True
+        assert transcript.turns[-1].game_over is True
         assert transcript.turns[-1].metrics.h_after == 0.0
         assert math.isclose(transcript.game_metrics.total_ig, math.log2(40), abs_tol=1e-9)
 
@@ -411,3 +411,18 @@ class TestJsonl:
         text = transcript_to_jsonl(transcript).replace('"city:1"', '"city:one"')
         with pytest.raises(TranscriptFormatError):
             transcript_from_jsonl(text)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"audit": false', '"audit": "false"'),
+            ('"game_over": false', '"game_over": "no"'),
+            ('"turn_index": 1}', '"turn_index": 1.7}'),
+            ('"target": "city:1"', '"target": "region:3"'),
+        ],
+    )
+    def test_mistyped_field_is_rejected(self, base_graph, old, new):
+        text = transcript_to_jsonl(rule_game(base_graph.fresh_copy(), TOKYO))
+        assert old in text
+        with pytest.raises(TranscriptFormatError):
+            transcript_from_jsonl(text.replace(old, new, 1))

@@ -82,6 +82,40 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"reasoning_enabled": "false"},
+            {"audit": "no"},
+            {"runs_per_target": 2.9},
+            {"runs_per_targets": 2},  # a misspelt key would leave the default in force
+            {"seeker": {"kind": "llm", "endpoint": {"base_url": 5, "model_name": "m"}}},
+            {"seeker": {"kind": "llm", "endpoint": {
+                "base_url": "http://x", "model_name": "m", "max_retries": True}}},
+            {"seeker": {"kind": "llm", "endpoint": {
+                "base_url": "http://x", "model_name": "m", "colour": "red"}}},
+        ],
+    )
+    def test_mistyped_or_unknown_values_rejected(self, change):
+        d = quick_config().to_dict()
+        d.update(change)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)
+
+    def test_int_is_read_as_float(self):
+        d = quick_config().to_dict()
+        d["seeker"] = {"kind": "llm", "endpoint": {
+            "base_url": "http://x", "model_name": "m", "temperature": 1}}
+        temperature = ExperimentConfig.from_dict(d).seeker.endpoint.temperature
+        assert temperature == 1.0 and type(temperature) is float
+
+    def test_readme_example_config_parses(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Experiment config", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_dict(json.loads(example))
+        assert cfg.seeker.kind == "llm" and cfg.seeker.endpoint.temperature == 0.6
+
 
 class TestDerivedSeed:
     def test_stable(self):
