@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -25,7 +25,7 @@ from .agents import (
 )
 from .codec import decode, encode, field_names
 from .metrics import GameMetrics, TurnMetrics, entropy
-from .questions import Predicate
+from .questions import Predicate, QuestionParser
 from .taxonomy import GraphError, HypothesisGraph, Level, NodeId
 
 SCHEMA_VERSION = 1
@@ -156,6 +156,7 @@ def play_game(
     turns: list[TurnRecord] = []
     audit_events: list[AuditEvent] = []
     outcome = OUTCOME_TURN_LIMIT
+    parser: QuestionParser | None = None
 
     for turn_index in range(1, cfg.max_turns + 1):
         n_before = graph.active_count()
@@ -171,6 +172,10 @@ def play_game(
         )
         try:
             question = seeker.ask(ctx)
+            if question.predicate is None:
+                # A text-only seeker's question, read so rule agents can answer it.
+                parser = parser or QuestionParser(graph)
+                question = replace(question, predicate=parser.parse(question.question_text))
             answer = oracle.answer(question, cfg.target, graph, tuple(history))
             prune = pruner.prune_decision(question, answer, graph, turn_index)
         except AgentFailure:

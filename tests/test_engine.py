@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import infoseek.engine as engine
+
 from infoseek.agents import (
     AgentFailure,
     GreedyHalvingSeeker,
@@ -92,6 +94,21 @@ class TestPlayGame:
         assert transcript.game_metrics.total_ig == 0.0
         assert all(t.metrics.ig == 0.0 for t in transcript.turns)
         assert all(t.pruned_ids == () for t in transcript.turns)
+
+    def test_text_only_questions_are_read_for_the_rule_agents(self, graph):
+        seeker = ScriptedSeeker(["Is the target city in Asia?", "Is the target city Tokyo?"])
+        transcript = rule_game(graph, TOKYO, seeker)
+        assert transcript.outcome == OUTCOME_WIN
+        assert transcript.turns[0].predicate == AttributeIn(Level.REGION, ("Asia",))
+        assert transcript.turns[0].metrics.ig > 0
+        assert transcript.turns[1].predicate == CityGuess("Tokyo")
+
+    def test_rule_seekers_build_no_question_parser(self, graph, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("a question parser was built")
+
+        monkeypatch.setattr(engine, "QuestionParser", refuse)
+        assert rule_game(graph, TOKYO).outcome == OUTCOME_WIN
 
     def test_game_ends_after_prune_phase_on_game_over(self, graph):
         seeker = ScriptedSeeker([CityGuess("Tokyo")])

@@ -25,7 +25,7 @@ from infoseek.taxonomy import Level, NodeId, build_graph
 
 MOCK = Path(__file__).resolve().parents[1] / "perfbench" / "mock_llm.py"
 
-LLM_SWEEP_DIGEST = "8bf829068e1956149526aa0c4ede4451d0ec981c0873eb5a226de01bee45f178"
+LLM_SWEEP_DIGEST = "9e5f4c054a0bdec54e99026e54004698b4f34ad11eb78eccbe4bc3899c222187"
 
 # Every fifth city of the bundled 40.
 TARGETS = tuple(NodeId(Level.CITY, n) for n in range(1, 41, 5))
@@ -73,8 +73,8 @@ def configs(port: int) -> list[ExperimentConfig]:
         )
         for observability in (Observability.FULL, Observability.PARTIAL)
     ]
-    # The LLM seeker's question carries no predicate, so the rule oracle
-    # cannot answer it and these games run to the turn limit at 0 bits.
+    # The engine reads the LLM seeker's question text into a predicate, so
+    # the rule oracle and rule pruner can answer and prune it.
     llm_seeker_rule_judges = ExperimentConfig(
         dataset_path=dataset_path, seeker=llm(False), audit=True
     )
