@@ -31,6 +31,7 @@ from .engine import (
     play_game,
     replay,
     save_transcript,
+    write_text_atomic,
 )
 from .experiment import (
     ConfigError,
@@ -133,7 +134,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f"{decision.optimal_ig!r},{int(decision.is_optimal)},"
                 f"{len(decision.candidates)},{decision.unparseable_count}"
             )
-        Path(args.detail).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text_atomic(args.detail, "\n".join(lines) + "\n")
         _stderr(f"per-turn detail written to {args.detail}")
     report = decision_quality(transcripts, graph)
     print(f"games: {len(transcripts)}")

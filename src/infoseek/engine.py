@@ -10,7 +10,9 @@ line-delimited JSON and can be replayed bit-for-bit against the same dataset.
 from __future__ import annotations
 
 import json
+import os
 import random
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -362,8 +364,21 @@ def transcript_from_jsonl(text: str) -> GameTranscript:
         raise TranscriptFormatError(f"bad transcript field: {exc}") from exc
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename it over
+    path, so a reader or a crash sees the old file or the new one, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_transcript(transcript: GameTranscript, path: str | Path) -> None:
-    Path(path).write_text(transcript_to_jsonl(transcript), encoding="utf-8")
+    write_text_atomic(path, transcript_to_jsonl(transcript))
 
 
 def load_transcript(path: str | Path) -> GameTranscript:

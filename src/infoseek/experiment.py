@@ -33,6 +33,7 @@ from .engine import (
     GameTranscript,
     play_game,
     save_transcript,
+    write_text_atomic,
 )
 from .llm import EndpointConfig, LLMOracle, LLMPruner, LLMSeeker
 from .codec import decode, encode
@@ -226,11 +227,9 @@ def run_experiment(
     )
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
-        (out / "config.json").write_text(
-            json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_text_atomic(out / "config.json", _json_text(cfg.to_dict()))
         save_report(report, out / "report.json")
-        (out / "timeline.csv").write_text(export_timeline(report), encoding="utf-8")
+        export_timeline(report, out / "timeline.csv")
     return report
 
 
@@ -243,10 +242,12 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
     return d
 
 
+def _json_text(obj: dict[str, Any]) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def save_report(report: ExperimentReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text_atomic(path, _json_text(report_to_dict(report)))
 
 
 def load_report(path: str | Path) -> ExperimentReport:
@@ -311,5 +312,5 @@ def export_timeline(report: ExperimentReport, path: str | Path | None = None) ->
         lines.append(f"{point.turn_index},{mean},{point.n_games}")
     text = "\n".join(lines) + "\n"
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        write_text_atomic(path, text)
     return text

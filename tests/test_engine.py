@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 
 import pytest
@@ -443,3 +444,17 @@ class TestJsonl:
         assert old in text
         with pytest.raises(TranscriptFormatError):
             transcript_from_jsonl(text.replace(old, new, 1))
+
+    def test_failed_save_keeps_the_previous_file(self, base_graph, tmp_path, monkeypatch):
+        path = tmp_path / "game.jsonl"
+        save_transcript(rule_game(base_graph.fresh_copy(), TOKYO), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_transcript(rule_game(base_graph.fresh_copy(), DELHI), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["game.jsonl"]
