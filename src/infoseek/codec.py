@@ -57,14 +57,9 @@ def _checked(tp: type, convert: Callable[[Any], Any] | None = None) -> Decode:
 
 
 def _float(value: Any) -> float:
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    if type(value) is not float:
-        raise CodecError(f"expected float, got {value!r}")
-    return value
+    if type(value) is float or (type(value) is int and abs(value) < 1e308):
+        return float(value)
+    raise CodecError(f"expected float, got {value!r}")
 
 
 @functools.cache
@@ -127,11 +122,6 @@ def _decoder(cls: type) -> Callable[..., Any]:
     # The third entry lets a value whose JSON type is exactly its field's skip the check.
     plan = [(name, _coder(hints[name])[1], hints[name]) for name in field_names(cls)]
     names = frozenset(field_names(cls))
-    required = [
-        f.name
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    ]
 
     def decode_fields(data: Any, given: dict[str, Any] | None = None) -> Any:
         if type(data) is not dict:
@@ -147,9 +137,9 @@ def _decoder(cls: type) -> Callable[..., Any]:
                     kwargs[name] = value if type(value) is exact else dec(value)
         except CodecError as exc:
             raise CodecError(f"{name}: {exc}") from None
-        for name in required:
-            if name not in kwargs:
-                raise CodecError(f"missing field {name!r} for {cls.__name__}")
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except TypeError as exc:  # every value is checked, so only a missing field is left
+            raise CodecError(str(exc)) from None
 
     return decode_fields

@@ -295,8 +295,7 @@ def _dump(obj: dict) -> str:
 def transcript_to_jsonl(transcript: GameTranscript) -> str:
     """One self-contained line-delimited document: header, turns, footer.
 
-    A turn row carries its metrics' fields at its top level; the footer
-    leaves out per_turn, which the turn rows already hold.
+    Turn rows carry their metrics' fields, so the footer leaves out per_turn.
     """
     header = {
         "kind": "header",
@@ -310,21 +309,12 @@ def transcript_to_jsonl(transcript: GameTranscript) -> str:
         row.update(row.pop("metrics"), kind="turn")
         lines.append(_dump(row))
     lines.extend(_dump({"kind": "audit", **encode(e)}) for e in transcript.audit_events)
-    game_metrics = encode(transcript.game_metrics)
+    game_metrics = encode(replace(transcript.game_metrics, per_turn=()))
     del game_metrics["per_turn"]
     lines.append(
         _dump({"kind": "footer", "outcome": transcript.outcome, "game_metrics": game_metrics})
     )
     return "\n".join(lines) + "\n"
-
-
-def _unflatten_metrics(row: dict) -> dict:
-    # The row's turn_index is also its metrics' turn_index.
-    row["metrics"] = {
-        name: row[name] if name == "turn_index" else row.pop(name)
-        for name in field_names(TurnMetrics)
-    }
-    return row
 
 
 def transcript_from_jsonl(text: str) -> GameTranscript:
@@ -348,7 +338,12 @@ def transcript_from_jsonl(text: str) -> GameTranscript:
         raise TranscriptFormatError(f"unsupported schema_version {version!r}")
 
     try:
-        turns = tuple(decode(TurnRecord, _unflatten_metrics(row)) for row in rows["turn"])
+        for row in rows["turn"]:  # its metrics' fields sit in the row; turn_index is shared
+            row["metrics"] = {
+                name: row[name] if name == "turn_index" else row.pop(name)
+                for name in field_names(TurnMetrics)
+            }
+        turns = tuple(decode(TurnRecord, row) for row in rows["turn"])
         # Stored totals are loaded verbatim (not recomputed) so that replay
         # can tell a tampered file from a faithful one.
         game_metrics = decode(
