@@ -26,6 +26,7 @@ from .agents import (
     RulePruner,
     Seeker,
 )
+from .codec import decode, encode
 from .dataset import DatasetManifest, load_dataset
 from .engine import (
     OUTCOME_AGENT_FAILURE,
@@ -36,7 +37,6 @@ from .engine import (
     write_text_atomic,
 )
 from .llm import EndpointConfig, LLMOracle, LLMPruner, LLMSeeker
-from .codec import decode, encode
 from .metrics import AggregateMetrics, TimelinePoint, aggregate, ig_timeline
 from .taxonomy import NodeId, build_graph
 
