@@ -334,7 +334,7 @@ def transcript_from_jsonl(text: str) -> GameTranscript:
         raise TranscriptFormatError("transcript needs exactly one header and one footer")
     (header,), (footer,) = rows["header"], rows["footer"]
     version = header.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise TranscriptFormatError(f"unsupported schema_version {version!r}")
 
     try:

@@ -105,7 +105,7 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         version = d.get("schema_version", CONFIG_SCHEMA_VERSION)
-        if version != CONFIG_SCHEMA_VERSION:
+        if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema_version {version!r}")
         try:
             return decode(cls, {k: v for k, v in d.items() if k != "schema_version"})
@@ -256,7 +256,7 @@ def load_report(path: str | Path) -> ExperimentReport:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: a report must be a JSON object")
         version = raw.pop("schema_version", None)
-        if version != CONFIG_SCHEMA_VERSION:
+        if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
             raise ConfigError(f"{path}: unsupported report schema_version {version!r}")
         raw["aggregate"]["n_games"] = raw.pop("n_games")
         return decode(ExperimentReport, raw)

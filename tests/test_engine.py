@@ -437,6 +437,7 @@ class TestJsonl:
             ('"game_over": false', '"game_over": "no"'),
             ('"turn_index": 1}', '"turn_index": 1.7}'),
             ('"target": "city:1"', '"target": "region:3"'),
+            ('"schema_version": 1', '"schema_version": true'),
         ],
     )
     def test_mistyped_field_is_rejected(self, base_graph, old, new):

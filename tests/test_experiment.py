@@ -89,6 +89,7 @@ class TestConfig:
             {"audit": "no"},
             {"runs_per_target": 2.9},
             {"runs_per_targets": 2},  # a misspelt key would leave the default in force
+            {"schema_version": True},
             {"seeker": {"kind": "llm", "endpoint": {"base_url": 5, "model_name": "m"}}},
             {"seeker": {"kind": "llm", "endpoint": {
                 "base_url": "http://x", "model_name": "m", "max_retries": True}}},
