@@ -6,7 +6,6 @@ import random
 import pytest
 
 import infoseek.engine as engine
-
 from infoseek.agents import (
     AgentFailure,
     GreedyHalvingSeeker,
