@@ -9,6 +9,7 @@ picks the most even split available each turn.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from collections import Counter
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Protocol, Sequence
 
-from .questions import AttributeIn, CityGuess, CityIn, Predicate, prune_set
-from .taxonomy import ATTRIBUTE_LEVELS, HypothesisGraph, NodeId
+from .questions import AttributeIn, CityGuess, CityIn, Predicate, prune_set, smallest_spellings
+from .taxonomy import ATTRIBUTE_LEVELS, HypothesisGraph, Level, NodeId
 
 
 class AgentFailure(Exception):
@@ -39,17 +40,22 @@ class Observability(str, Enum):
 class SeekerContext:
     """Everything a seeker may look at when choosing its next question.
 
-    `history` is (question, answer) pairs from earlier turns. `graph_text`
-    is the serialized tree, present only under full observability.
-    `graph` is a live handle for the rule-based agents; text-conditioned
-    seekers must ignore it. `rng` is the game-owned randomness source.
+    `history` is (question, answer) pairs from earlier turns. `graph` is a
+    live handle for the rule-based agents; text-conditioned seekers read
+    `graph_text` instead. `rng` is the game-owned randomness source.
     """
 
     history: list[tuple[str, str]]
     turn_index: int
-    graph_text: str | None = None
+    observability: Observability = Observability.PARTIAL
     graph: HypothesisGraph | None = None
     rng: random.Random | None = None
+
+    @functools.cached_property
+    def graph_text(self) -> str | None:
+        """The serialized tree under full observability, rendered on first read."""
+        full = self.observability is Observability.FULL and self.graph is not None
+        return self.graph.serialize_state() if full else None
 
 
 @dataclass(frozen=True)
@@ -99,63 +105,52 @@ class Pruner(Protocol):
     ) -> PrunerOutput: ...
 
 
-def candidate_predicates(graph: HypothesisGraph) -> list[Predicate]:
-    """The question menu a rule seeker considers on the current graph.
+def rule_menu(graph: HypothesisGraph) -> list[tuple[Level, tuple[str, ...], int]]:
+    """Both rule seekers' question menu, as (level, values, matches) entries.
 
-    One single-value attribute test per distinct active value at each
-    level above city, plus one half-space city-set question.
+    A single-value test per distinct active value at each level above city,
+    in value order (case variants merged under their smallest spelling),
+    then, with two or more candidates, the half-space city-set question.
     """
     n = graph.active_count()
     if n == 0:
         raise EmptySpaceError("no active candidates")
-    candidates: list[Predicate] = []
+    menu = []
     for level in ATTRIBUTE_LEVELS:
-        names = {graph.attribute_name(c, level) for c in graph.active_cities}
-        candidates.extend(AttributeIn(level, (name,)) for name in sorted(names))
+        counts = graph.value_counts(level)
+        spelling = smallest_spellings(counts)
+        merged: Counter[str] = Counter()
+        for name, count in counts.items():
+            merged[spelling[name.casefold()]] += count
+        menu.extend((level, (name,), merged[name]) for name in sorted(merged))
     if n >= 2:
-        ordered = sorted(graph.active_cities, key=str)
-        half = [graph.name_of(c) for c in ordered[: n // 2]]
-        candidates.append(CityIn(tuple(half)))
-    return candidates
+        half = sorted(graph.active_cities, key=str)[: n // 2]
+        menu.append((Level.CITY, tuple(graph.name_of(c) for c in half), n // 2))
+    return menu
 
 
-_LEVEL_RANK = {level: i for i, level in enumerate(ATTRIBUTE_LEVELS)}
-_CITYIN_RANK = len(ATTRIBUTE_LEVELS)
+def menu_predicate(entry: tuple[Level, tuple[str, ...], int]) -> Predicate:
+    level, values, _ = entry
+    return CityIn(values) if level is Level.CITY else AttributeIn(level, values)
+
+
+def candidate_predicates(graph: HypothesisGraph) -> list[Predicate]:
+    """The rule menu as predicates."""
+    return [menu_predicate(entry) for entry in rule_menu(graph)]
 
 
 def greedy_choose(graph: HypothesisGraph) -> Predicate:
-    """Most even split available; ties break coarse-first, then by text.
+    """Most even split on the rule menu; ties break coarse-first, then by value.
 
     With one candidate left the only sensible move is to guess it.
     """
     n = graph.active_count()
-    if n == 0:
-        raise EmptySpaceError("no active candidates")
     if n == 1:
         (only,) = graph.active_cities
         return CityGuess(graph.name_of(only))
-
-    scored: list[tuple[int, int, str, Predicate]] = []
-    for level in ATTRIBUTE_LEVELS:
-        counts: Counter[str] = Counter()
-        display: dict[str, str] = {}
-        for c in graph.active_cities:
-            name = graph.attribute_name(c, level)
-            folded = name.casefold()
-            counts[folded] += 1
-            display.setdefault(folded, name)
-        for folded, count in counts.items():
-            pred: Predicate = AttributeIn(level, (display[folded],))
-            # |matching - non-matching|; 0 is a perfect halving.
-            imbalance = abs(2 * count - n)
-            scored.append((imbalance, _LEVEL_RANK[level], pred.canonical(), pred))
-
-    ordered = sorted(graph.active_cities, key=str)
-    half = tuple(graph.name_of(c) for c in ordered[: n // 2])
-    city_pred: Predicate = CityIn(half)
-    scored.append((n % 2, _CITYIN_RANK, city_pred.canonical(), city_pred))
-
-    return min(scored)[3]
+    # |matching - non-matching|; 0 is a perfect halving.
+    best = min(rule_menu(graph), key=lambda e: (abs(2 * e[2] - n), e[0].depth, e[1]))
+    return menu_predicate(best)
 
 
 class GreedyHalvingSeeker:
@@ -176,12 +171,11 @@ class RandomSeeker:
             raise AgentFailure("rule seeker needs a graph handle")
         if ctx.rng is None:
             raise AgentFailure("random seeker needs the game rng")
-        n = ctx.graph.active_count()
-        if n == 1:
+        if ctx.graph.active_count() == 1:
             (only,) = ctx.graph.active_cities
             predicate: Predicate = CityGuess(ctx.graph.name_of(only))
         else:
-            predicate = ctx.rng.choice(candidate_predicates(ctx.graph))
+            predicate = menu_predicate(ctx.rng.choice(rule_menu(ctx.graph)))
         return SeekerOutput(question_text=predicate.render(), predicate=predicate)
 
 

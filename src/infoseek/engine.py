@@ -162,13 +162,10 @@ def play_game(
 
     for turn_index in range(1, cfg.max_turns + 1):
         n_before = graph.active_count()
-        graph_text = (
-            graph.serialize_state() if cfg.observability is Observability.FULL else None
-        )
         ctx = SeekerContext(
             history=list(history),
             turn_index=turn_index,
-            graph_text=graph_text,
+            observability=cfg.observability,
             graph=graph,
             rng=rng,
         )

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .metrics import information_gain
-from .taxonomy import ATTRIBUTE_LEVELS, GraphError, HypothesisGraph, Level, NodeId
+from .taxonomy import ATTRIBUTE_LEVELS, LEVELS, GraphError, HypothesisGraph, Level, NodeId
 
 
 class PredicateError(Exception):
@@ -33,16 +34,21 @@ class TargetNotActiveError(GraphError):
     pass
 
 
-def _normalize_values(values: tuple[str, ...]) -> tuple[str, ...]:
-    """Strip, keep the smallest spelling of each case-variant (order-free), sort casefolded."""
+def smallest_spellings(names: Iterable[str]) -> dict[str, str]:
+    """Casefolded name -> its smallest spelling, whatever order the names come in."""
     seen: dict[str, str] = {}
-    for v in values:
-        v = v.strip()
-        if not v:
-            raise PredicateError("empty value in predicate")
-        key = v.casefold()
-        seen[key] = min(seen.get(key, v), v)
-    return tuple(sorted(seen.values(), key=lambda v: (v.casefold(), v)))
+    for name in names:
+        key = name.casefold()
+        seen[key] = min(seen.get(key, name), name)
+    return seen
+
+
+def _normalize_values(values: tuple[str, ...]) -> tuple[str, ...]:
+    """Strip, keep the smallest spelling of each case-variant, sort casefolded."""
+    stripped = [v.strip() for v in values]
+    if not all(stripped):
+        raise PredicateError("empty value in predicate")
+    return tuple(sorted(smallest_spellings(stripped).values(), key=lambda v: (v.casefold(), v)))
 
 
 def _join_or(values: tuple[str, ...]) -> str:
@@ -193,18 +199,14 @@ class QuestionParser:
     """
 
     def __init__(self, graph: HypothesisGraph) -> None:
-        self._values: dict[Level, dict[str, str]] = {level: {} for level in ATTRIBUTE_LEVELS}
-        self._cities: dict[str, str] = {}
-        for city in graph.city_leaves:
-            for level in ATTRIBUTE_LEVELS:
-                name = graph.attribute_name(city, level)
-                self._values[level].setdefault(name.casefold(), name)
-            name = graph.attribute_name(city, Level.CITY)
-            self._cities.setdefault(name.casefold(), name)
+        # Case variants read as their smallest spelling, as on the rule menu.
+        self._values = {
+            level: smallest_spellings(graph.attribute_name(c, level) for c in graph.city_leaves)
+            for level in LEVELS
+        }
 
-    def _displayed(self, level: Level | None, names: list[str]) -> tuple[str, ...]:
-        lookup = self._cities if level is None else self._values[level]
-        return tuple(lookup.get(n.casefold(), n) for n in names)
+    def _displayed(self, level: Level, names: list[str]) -> tuple[str, ...]:
+        return tuple(self._values[level].get(n.casefold(), n) for n in names)
 
     def parse(self, text: str) -> Predicate | None:
         t = text.strip()
@@ -232,11 +234,11 @@ class QuestionParser:
                 return self._parse_membership(rest[3:].strip())
             if rest_low.startswith("one of "):
                 names = _split_list(rest[7:])
-                return CityIn(self._displayed(None, names)) if names else None
+                return CityIn(self._displayed(Level.CITY, names)) if names else None
             for marker in ("called ", "named "):
                 if rest_low.startswith(marker):
-                    return CityGuess(self._displayed(None, [rest[len(marker):]])[0])
-            return CityGuess(self._displayed(None, [rest])[0])
+                    return CityGuess(self._displayed(Level.CITY, [rest[len(marker):]])[0])
+            return CityGuess(self._displayed(Level.CITY, [rest])[0])
         except PredicateError:
             return None
 
@@ -264,8 +266,8 @@ class QuestionParser:
         for level in ATTRIBUTE_LEVELS:
             if all(f in self._values[level] for f in folded):
                 return AttributeIn(level, self._displayed(level, names))
-        if all(f in self._cities for f in folded):
-            return CityIn(self._displayed(None, names))
+        if all(f in self._values[Level.CITY] for f in folded):
+            return CityIn(self._displayed(Level.CITY, names))
         return None
 
 

@@ -12,6 +12,7 @@ import copy
 import functools
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
@@ -168,6 +169,11 @@ class HypothesisGraph:
             return self._attrs[city_id][level]
         except KeyError:
             raise UnknownIdError(f"unknown city id: {city_id}") from None
+
+    def value_counts(self, level: Level) -> Counter[str]:
+        """Active cities per display name at `level`; case variants count apart."""
+        attrs = self._attrs
+        return Counter(attrs[c][level] for c in self.active_cities)
 
     def ancestors(self, city_id: NodeId) -> list[NodeId]:
         """Ancestor path of a city, finest first: [state, country, subregion, region]."""

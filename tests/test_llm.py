@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoseek import llm
-from infoseek.agents import AgentFailure, OracleOutput, SeekerContext, SeekerOutput
+from infoseek.agents import (
+    AgentFailure,
+    Observability,
+    OracleOutput,
+    SeekerContext,
+    SeekerOutput,
+)
 from infoseek.llm import (
     ChatMessage,
     EmptyCompletionError,
@@ -312,7 +318,7 @@ class TestComplete:
 class TestMessageBuilders:
     def test_seeker_full_observability_includes_graph(self, graph):
         ctx = SeekerContext(
-            history=[("Q?", "Yes")], turn_index=2, graph_text=graph.serialize_state()
+            history=[("Q?", "Yes")], turn_index=2, observability=Observability.FULL, graph=graph
         )
         messages = build_seeker_messages(ctx)
         assert messages[0].role == "system"
@@ -323,8 +329,10 @@ class TestMessageBuilders:
         assert "Q1: Q?" in user and "A1: Yes" in user
         assert user.endswith("Ask your next yes/no question.")
 
-    def test_seeker_partial_observability_omits_graph(self):
-        ctx = SeekerContext(history=[], turn_index=1, graph_text=None)
+    def test_seeker_partial_observability_omits_graph(self, graph):
+        ctx = SeekerContext(
+            history=[], turn_index=1, observability=Observability.PARTIAL, graph=graph
+        )
         user = build_seeker_messages(ctx)[1].content
         assert "knowledge graph" not in user
         assert "No questions asked yet." in user
@@ -378,7 +386,9 @@ class TestLLMAgents:
     def test_seeker_happy_path(self, mock_llm, graph):
         mock_llm.say("Is the target city in Asia?", reasoning="split by region")
         seeker = LLMSeeker(endpoint_for(mock_llm))
-        ctx = SeekerContext(history=[], turn_index=1, graph_text=graph.serialize_state())
+        ctx = SeekerContext(
+            history=[], turn_index=1, observability=Observability.FULL, graph=graph
+        )
         out = seeker.ask(ctx)
         assert out.question_text == "Is the target city in Asia?"
         assert out.predicate is None
