@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .questions import AttributeIn, CityGuess, CityIn, Predicate, prune_set, smallest_spellings
 from .taxonomy import ATTRIBUTE_LEVELS, HypothesisGraph, Level, NodeId
@@ -177,24 +177,6 @@ class RandomSeeker:
         else:
             predicate = menu_predicate(ctx.rng.choice(rule_menu(ctx.graph)))
         return SeekerOutput(question_text=predicate.render(), predicate=predicate)
-
-
-class ScriptedSeeker:
-    """Plays back a fixed list of questions; for tests and replays."""
-
-    def __init__(self, turns: Iterable[Predicate | str | SeekerOutput]) -> None:
-        self._turns = list(turns)
-
-    def ask(self, ctx: SeekerContext) -> SeekerOutput:
-        i = ctx.turn_index - 1
-        if i >= len(self._turns):
-            raise AgentFailure(f"script exhausted at turn {ctx.turn_index}")
-        turn = self._turns[i]
-        if isinstance(turn, SeekerOutput):
-            return turn
-        if isinstance(turn, str):
-            return SeekerOutput(question_text=turn)
-        return SeekerOutput(question_text=turn.render(), predicate=turn)
 
 
 class RuleOracle:

@@ -1,5 +1,8 @@
-"""Shared builders for tests that assemble transcripts by hand."""
+"""Shared builders for tests that assemble transcripts or script seekers by hand."""
 
+from typing import Iterable
+
+from infoseek.agents import AgentFailure, SeekerContext, SeekerOutput
 from infoseek.engine import (
     OUTCOME_TURN_LIMIT,
     GameConfig,
@@ -7,6 +10,7 @@ from infoseek.engine import (
     TurnRecord,
 )
 from infoseek.metrics import GameMetrics, TurnMetrics
+from infoseek.questions import Predicate
 from infoseek.taxonomy import Level, NodeId
 
 TOKYO = NodeId(Level.CITY, 1)
@@ -51,3 +55,21 @@ def manual_transcript(base_graph, target, turns_spec, max_turns=30):
         outcome=OUTCOME_TURN_LIMIT,
         game_metrics=GameMetrics.from_turns(False, [r.metrics for r in records]),
     )
+
+
+class ScriptedSeeker:
+    """Plays back a fixed list of questions."""
+
+    def __init__(self, turns: Iterable[Predicate | str | SeekerOutput]) -> None:
+        self._turns = list(turns)
+
+    def ask(self, ctx: SeekerContext) -> SeekerOutput:
+        i = ctx.turn_index - 1
+        if i >= len(self._turns):
+            raise AgentFailure(f"script exhausted at turn {ctx.turn_index}")
+        turn = self._turns[i]
+        if isinstance(turn, SeekerOutput):
+            return turn
+        if isinstance(turn, str):
+            return SeekerOutput(question_text=turn)
+        return SeekerOutput(question_text=turn.render(), predicate=turn)

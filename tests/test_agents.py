@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ScriptedSeeker
+
 from infoseek.agents import (
     AgentFailure,
     EmptySpaceError,
@@ -13,7 +15,6 @@ from infoseek.agents import (
     RandomSeeker,
     RuleOracle,
     RulePruner,
-    ScriptedSeeker,
     SeekerContext,
     SeekerOutput,
     candidate_predicates,

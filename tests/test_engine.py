@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from helpers import ScriptedSeeker
+
 import infoseek.engine as engine
 from infoseek.agents import (
     AgentFailure,
@@ -14,7 +16,6 @@ from infoseek.agents import (
     RandomSeeker,
     RuleOracle,
     RulePruner,
-    ScriptedSeeker,
     SeekerContext,
     SeekerOutput,
 )
