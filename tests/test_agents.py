@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -279,3 +284,43 @@ def test_observability_values():
     assert Observability.FULL.value == "fo"
     assert Observability.PARTIAL.value == "po"
     assert Observability("po") is Observability.PARTIAL
+
+
+# "Georgia" and "GEORGIA" are two states of one country: the menu, greedy and
+# the parser must each read them as one value, spelled the same every run.
+SPELLING_PROBE = """
+import json
+from infoseek.agents import candidate_predicates, greedy_choose
+from infoseek.dataset import CityRecord
+from infoseek.questions import QuestionParser
+from infoseek.taxonomy import build_graph
+rows = [(1, "Atlanta", 1, "Georgia"), (2, "Savannah", 2, "GEORGIA"),
+        (3, "Austin", 3, "Texas"), (4, "Dallas", 3, "Texas")]
+graph = build_graph([
+    CityRecord(cid, city, sid, state, 1, "USA", 1, "Americas", 1, "Northern America")
+    for cid, city, sid, state in rows
+])
+print(json.dumps({
+    "greedy": greedy_choose(graph).canonical(),
+    "menu": [p.canonical() for p in candidate_predicates(graph)],
+    "parsed": QuestionParser(graph).parse("Is the target city's state georgia?").canonical(),
+}))
+"""
+
+
+def test_case_variant_spelling_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", SPELLING_PROBE], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout)
+    assert len(outputs) == 1
+    (out,) = outputs
+    got = json.loads(out)
+    assert got["greedy"] == got["parsed"] == "attr:state:GEORGIA"
+    folded = [c.casefold() for c in got["menu"]]
+    assert len(folded) == len(set(folded))
+    assert "attr:state:GEORGIA" in got["menu"]
