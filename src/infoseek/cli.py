@@ -45,7 +45,7 @@ from .llm import WireError
 from .metrics import MetricsError
 from .questions import PredicateError, QuestionParser
 from .taxonomy import GraphError, HypothesisGraph, Level, build_graph
-from .trace_analysis import decision_quality, iter_turn_decisions
+from .trace_analysis import iter_turn_decisions, summarize_decisions
 
 _VALIDATION_ERRORS = (
     DatasetError,
@@ -124,9 +124,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     transcripts = [load_transcript(p) for p in paths]
     records, _ = load_dataset(args.csv)
     graph = build_graph(records)
+    decisions = list(iter_turn_decisions(transcripts, graph))
     if args.detail:
         lines = ["game_index,turn_index,chosen_ig,optimal_ig,is_optimal,n_candidates,unparseable"]
-        for game_index, decision in iter_turn_decisions(transcripts, graph):
+        for game_index, decision in decisions:
             if decision is None:
                 continue
             lines.append(
@@ -136,7 +137,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
         write_text_atomic(args.detail, "\n".join(lines) + "\n")
         _stderr(f"per-turn detail written to {args.detail}")
-    report = decision_quality(transcripts, graph)
+    report = summarize_decisions(decisions)
     print(f"games: {len(transcripts)}")
     print(f"turns analyzed: {report.turns_analyzed} (skipped: {report.turns_skipped})")
     print(f"Avg Optimal Rate: {report.avg_optimal_rate}")

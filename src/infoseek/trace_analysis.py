@@ -231,11 +231,18 @@ def decision_quality(
     extractor: Extractor | None = None,
     parser: QuestionParser | None = None,
 ) -> DecisionQualityReport:
+    """Score every turn of every transcript, then summarize."""
+    return summarize_decisions(iter_turn_decisions(transcripts, graph, extractor, parser))
+
+
+def summarize_decisions(
+    decisions: Iterable[tuple[int, TurnDecision | None]],
+) -> DecisionQualityReport:
     """Aggregate per-turn decisions into per-game means, then mean ± std."""
     by_game: dict[int, list[TurnDecision]] = {}
     analyzed = 0
     skipped = 0
-    for game_index, decision in iter_turn_decisions(transcripts, graph, extractor, parser):
+    for game_index, decision in decisions:
         if decision is None:
             skipped += 1
         else:

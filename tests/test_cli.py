@@ -6,6 +6,7 @@ import pytest
 
 from helpers import ASIA_Q, EUROPE, EUROPE_Q, NON_ASIA, TOKYO, manual_transcript
 
+from infoseek import trace_analysis
 from infoseek.agents import GreedyHalvingSeeker, RuleOracle, RulePruner
 from infoseek.cli import main
 from infoseek.dataset import bundled_dataset_path
@@ -193,6 +194,23 @@ class TestAnalyze:
         assert first[0] == "0" and first[1] == "1"
         assert float(first[2]) > 0  # repr'd floats parse back
         assert first[4] == "1"  # game 0 chose the optimal question
+
+    def test_detail_walks_each_transcript_once(self, capsys, transcripts_dir, tmp_path,
+                                               monkeypatch):
+        walked = []
+        real = trace_analysis.replay_turns
+
+        def counting(transcript, graph):
+            walked.append(transcript)
+            return real(transcript, graph)
+
+        monkeypatch.setattr(trace_analysis, "replay_turns", counting)
+        code, out, _ = run_cli(
+            capsys, "analyze", str(transcripts_dir), CSV, "--detail", str(tmp_path / "d.csv")
+        )
+        assert code == 0
+        assert "turns analyzed: 2 (skipped: 0)" in out
+        assert len(walked) == 2
 
     def test_empty_dir(self, capsys, tmp_path):
         empty = tmp_path / "none"
