@@ -37,7 +37,8 @@ from infoseek.engine import (
     transcript_to_jsonl,
 )
 from infoseek.questions import AttributeIn, CityGuess
-from infoseek.taxonomy import Level, NodeId, build_graph
+from infoseek.llm import EndpointConfig, LLMSeeker, build_seeker_messages
+from infoseek.taxonomy import HypothesisGraph, Level, NodeId, build_graph
 
 TOKYO = NodeId(Level.CITY, 1)
 DELHI = NodeId(Level.CITY, 2)
@@ -204,6 +205,53 @@ class TestPlayGame:
         assert all(t is not None for t in texts)
         assert "[PRUNED]" not in texts[0]
         assert "[PRUNED]" in texts[1]
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """Counts HypothesisGraph.serialize_state calls."""
+        calls = []
+        real = HypothesisGraph.serialize_state
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(HypothesisGraph, "serialize_state", counting)
+        return calls
+
+    def test_rule_seekers_render_no_graph_text(self, graph, renders):
+        transcript = rule_game(graph, TOKYO)
+        rule_game(graph.fresh_copy(), TOKYO, RandomSeeker(), rng_seed=3)
+        assert len(transcript.turns) > 1
+        assert renders == []
+
+    def test_graph_text_renders_once_on_first_read(self, graph, renders):
+        full = SeekerContext([], 1, observability=Observability.FULL, graph=graph)
+        partial = SeekerContext([], 1, observability=Observability.PARTIAL, graph=graph)
+        assert renders == []
+        user = build_seeker_messages(full)[1].content  # reads graph_text twice
+        assert len(renders) == 1
+        assert full.graph_text.rstrip() in user
+        build_seeker_messages(partial)
+        assert partial.graph_text is None
+        assert len(renders) == 1
+
+    @pytest.mark.parametrize(
+        "observability, renders_per_turn",
+        [(Observability.FULL, 1), (Observability.PARTIAL, 0)],
+    )
+    def test_llm_seeker_reads_graph_text_once_per_fo_turn(
+        self, graph, mock_llm, renders, observability, renders_per_turn
+    ):
+        mock_llm.say("Is the target city in Asia?")
+        mock_llm.say("Is the target city Tokyo?")
+        endpoint = EndpointConfig(base_url=mock_llm.url, model_name="m", backoff_seconds=0.01)
+        cfg = GameConfig(target=TOKYO, observability=observability)
+        transcript = play_game(LLMSeeker(endpoint), RuleOracle(), RulePruner(), graph, cfg)
+        assert transcript.outcome == OUTCOME_WIN
+        assert len(renders) == renders_per_turn * len(transcript.turns) == renders_per_turn * 2
+        user = mock_llm.requests[0]["body"]["messages"][1]["content"]
+        assert ("city:1 Tokyo [ACTIVE]" in user) == (observability is Observability.FULL)
 
     def test_on_turn_sees_post_prune_state(self, graph):
         calls = []
