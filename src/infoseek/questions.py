@@ -201,7 +201,7 @@ class QuestionParser:
     def __init__(self, graph: HypothesisGraph) -> None:
         # Case variants read as their smallest spelling, as on the rule menu.
         self._values = {
-            level: smallest_spellings(graph.attribute_name(c, level) for c in graph.city_leaves)
+            level: smallest_spellings({graph.attribute_name(c, level) for c in graph.city_leaves})
             for level in LEVELS
         }
 
