@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .questions import AttributeIn, CityGuess, CityIn, Predicate, prune_set, smallest_spellings
 from .taxonomy import ATTRIBUTE_LEVELS, HypothesisGraph, Level, NodeId
@@ -105,8 +105,35 @@ class Pruner(Protocol):
     ) -> PrunerOutput: ...
 
 
-def rule_menu(graph: HypothesisGraph) -> list[tuple[Level, tuple[str, ...], int]]:
-    """Both rule seekers' question menu, as (level, values, matches) entries.
+class MenuEntry(NamedTuple):
+    """One question on the rule menu: is the target's `level` one of `values`?
+    `matches` is the number of active cities that say yes."""
+
+    level: Level
+    values: tuple[str, ...]
+    matches: int
+
+
+class HalfSpace:
+    """The half-space city-set entry of the rule menu, built only when read.
+
+    Its values are the names of the lowest n // 2 active bits.
+    """
+
+    level = Level.CITY
+
+    def __init__(self, graph: HypothesisGraph) -> None:
+        self._graph = graph
+        self.matches = graph.active_count() // 2
+
+    @functools.cached_property
+    def values(self) -> tuple[str, ...]:
+        g = self._graph
+        return tuple(g.names(Level.CITY, g.active)[: g.active_count() // 2])
+
+
+def rule_menu(graph: HypothesisGraph) -> list[MenuEntry | HalfSpace]:
+    """Both rule seekers' question menu.
 
     A single-value test per distinct active value at each level above city,
     in value order (case variants merged under their smallest spelling),
@@ -115,28 +142,33 @@ def rule_menu(graph: HypothesisGraph) -> list[tuple[Level, tuple[str, ...], int]
     n = graph.active_count()
     if n == 0:
         raise EmptySpaceError("no active candidates")
-    menu = []
+    menu: list[MenuEntry | HalfSpace] = []
     for level in ATTRIBUTE_LEVELS:
         counts = graph.value_counts(level)
         spelling = smallest_spellings(counts)
         merged: Counter[str] = Counter()
         for name, count in counts.items():
             merged[spelling[name.casefold()]] += count
-        menu.extend((level, (name,), merged[name]) for name in sorted(merged))
+        menu.extend(MenuEntry(level, (name,), merged[name]) for name in sorted(merged))
     if n >= 2:
-        half = sorted(graph.active_cities, key=str)[: n // 2]
-        menu.append((Level.CITY, tuple(graph.name_of(c) for c in half), n // 2))
+        menu.append(HalfSpace(graph))
     return menu
 
 
-def menu_predicate(entry: tuple[Level, tuple[str, ...], int]) -> Predicate:
-    level, values, _ = entry
-    return CityIn(values) if level is Level.CITY else AttributeIn(level, values)
+def menu_predicate(entry: MenuEntry | HalfSpace) -> Predicate:
+    if entry.level is Level.CITY:
+        return CityIn(entry.values)
+    return AttributeIn(entry.level, entry.values)
 
 
 def candidate_predicates(graph: HypothesisGraph) -> list[Predicate]:
     """The rule menu as predicates."""
     return [menu_predicate(entry) for entry in rule_menu(graph)]
+
+
+def _only_city(graph: HypothesisGraph) -> CityGuess:
+    (only,) = graph.names(Level.CITY, graph.active)
+    return CityGuess(only)
 
 
 def greedy_choose(graph: HypothesisGraph) -> Predicate:
@@ -146,10 +178,11 @@ def greedy_choose(graph: HypothesisGraph) -> Predicate:
     """
     n = graph.active_count()
     if n == 1:
-        (only,) = graph.active_cities
-        return CityGuess(graph.name_of(only))
+        return _only_city(graph)
     # |matching - non-matching|; 0 is a perfect halving.
-    best = min(rule_menu(graph), key=lambda e: (abs(2 * e[2] - n), e[0].depth, e[1]))
+    best = min(
+        rule_menu(graph), key=lambda e: (abs(2 * e.matches - n), e.level.depth, e.values)
+    )
     return menu_predicate(best)
 
 
@@ -172,8 +205,7 @@ class RandomSeeker:
         if ctx.rng is None:
             raise AgentFailure("random seeker needs the game rng")
         if ctx.graph.active_count() == 1:
-            (only,) = ctx.graph.active_cities
-            predicate: Predicate = CityGuess(ctx.graph.name_of(only))
+            predicate: Predicate = _only_city(ctx.graph)
         else:
             predicate = menu_predicate(ctx.rng.choice(rule_menu(ctx.graph)))
         return SeekerOutput(question_text=predicate.render(), predicate=predicate)

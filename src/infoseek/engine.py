@@ -114,18 +114,18 @@ def _validated_prune(
     faults: list[str] = []
     seen: set[NodeId] = set()
     for node_id in pruned_ids:
-        if node_id in seen:
-            faults.append(f"already_pruned:{node_id}")
-            continue
+        n_seen = len(seen)
         seen.add(node_id)
-        if node_id not in graph.nodes:
-            faults.append(f"unknown_id:{node_id}")
-            continue
-        if node_id.level is not Level.CITY:
-            faults.append(f"non_city_id:{node_id}")
+        if len(seen) == n_seen:
+            faults.append(f"already_pruned:{node_id}")
             continue
         if not graph.is_active(node_id):
-            faults.append(f"already_pruned:{node_id}")
+            if node_id not in graph.nodes:
+                faults.append(f"unknown_id:{node_id}")
+            elif node_id.level is not Level.CITY:
+                faults.append(f"non_city_id:{node_id}")
+            else:
+                faults.append(f"already_pruned:{node_id}")
             continue
         if node_id == target:
             faults.append(f"target_in_prune_set:{node_id}")

@@ -78,6 +78,10 @@ class AttributeIn:
     def matches(self, graph: HypothesisGraph, city_id: NodeId) -> bool:
         return graph.attribute_name(city_id, self.level).casefold() in self._folded
 
+    def mask(self, graph: HypothesisGraph) -> int:
+        """The graph's cities this predicate matches, as a mask."""
+        return graph.names_mask(self.level, self._folded)
+
     def canonical(self) -> str:
         return f"attr:{self.level.value}:{'|'.join(self.values)}"
 
@@ -105,6 +109,9 @@ class CityIn:
     def matches(self, graph: HypothesisGraph, city_id: NodeId) -> bool:
         return graph.attribute_name(city_id, Level.CITY).casefold() in self._folded
 
+    def mask(self, graph: HypothesisGraph) -> int:
+        return graph.names_mask(Level.CITY, self._folded)
+
     def canonical(self) -> str:
         return f"cityin:{'|'.join(self.values)}"
 
@@ -130,6 +137,9 @@ class CityGuess:
 
     def matches(self, graph: HypothesisGraph, city_id: NodeId) -> bool:
         return graph.attribute_name(city_id, Level.CITY).casefold() == self._folded
+
+    def mask(self, graph: HypothesisGraph) -> int:
+        return graph.names_mask(Level.CITY, (self._folded,))
 
     def canonical(self) -> str:
         return f"guess:{self.name}"
@@ -276,9 +286,8 @@ def prune_set(predicate: Predicate, answer: bool, graph: HypothesisGraph) -> set
 
     Yes removes the non-matching cities; no removes the matching ones.
     """
-    if answer:
-        return {c for c in graph.active_cities if not predicate.matches(graph, c)}
-    return {c for c in graph.active_cities if predicate.matches(graph, c)}
+    mask = predicate.mask(graph)
+    return set(graph.cities(graph.active & ~mask if answer else graph.active & mask))
 
 
 def counterfactual_ig(
@@ -291,9 +300,8 @@ def counterfactual_ig(
     wrong — same arithmetic either way, since the truthful answer leaves
     exactly the matching (or non-matching) candidates standing.
     """
-    if target not in graph.active_cities:
+    if not graph.is_active(target):
         raise TargetNotActiveError(f"target not active: {target}")
-    answer = predicate.matches(graph, target)
-    removed = prune_set(predicate, answer, graph)
-    n_before = graph.active_count()
-    return information_gain(n_before, n_before - len(removed))
+    mask = predicate.mask(graph)
+    kept = graph.active & mask if predicate.matches(graph, target) else graph.active & ~mask
+    return information_gain(graph.active_count(), kept.bit_count())

@@ -1,9 +1,9 @@
 """Five-level geography taxonomy and the active hypothesis set.
 
 The graph is the entire uncertainty state of a game: a fixed tree of
-region/subregion/country/state/city nodes plus an active/pruned flag on
-every city leaf. Pruning only flips flags; structure is immutable after
-build, so transcripts can be replayed against the same graph.
+region/subregion/country/state/city nodes plus one active bit per city
+leaf, held together as an int mask. Pruning only clears bits; structure is
+immutable after build, so transcripts can be replayed against the same graph.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Collection, Iterable
 
 if TYPE_CHECKING:
     from .dataset import CityRecord
@@ -121,10 +121,31 @@ class TaxonomyNode:
     children: tuple[NodeId, ...]
 
 
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative mask, lowest first."""
+    bits = []
+    i = -1
+    for gap in f"{mask:b}"[::-1].split("1")[:-1]:
+        i += len(gap) + 1
+        bits.append(i)
+    return bits
+
+
+def _mask_of(bits: Iterable[int], width: int) -> int:
+    """Mask of `width` bits with exactly the given bit indices set."""
+    buf = bytearray((width + 7) // 8)
+    for i in bits:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class HypothesisGraph:
     """Taxonomy tree plus the set of still-active city leaves.
 
-    One instance is owned by exactly one game; reads are safe to share.
+    The active set is one int, `active`: bit i is the i-th city in
+    id-string order ("city:10" before "city:2"). Ids appear only at the
+    edges (prune, is_active, cities). One instance is owned by exactly one
+    game; reads are safe to share.
     """
 
     def __init__(
@@ -135,18 +156,35 @@ class HypothesisGraph:
     ) -> None:
         self.nodes = nodes
         self.city_leaves = city_leaves
-        self.active_cities: set[NodeId] = set(city_leaves)
         self.fingerprint = fingerprint
-        # city -> level -> display name of the ancestor at that level (the
-        # city's own name at Level.CITY); precomputed for fast classification.
-        self._attrs: dict[NodeId, dict[Level, str]] = {}
-        for city in city_leaves:
-            attrs = {Level.CITY: nodes[city].name}
-            cur = nodes[city]
-            while cur.parent is not None:
-                cur = nodes[cur.parent]
-                attrs[cur.id.level] = cur.name
-            self._attrs[city] = attrs
+        self._order: tuple[NodeId, ...] = tuple(sorted(city_leaves, key=str))
+        self._bit: dict[NodeId, int] = {city: i for i, city in enumerate(self._order)}
+        # One row per bit: the display names of the city's ancestors, coarsest
+        # first, then its own. Cities under one state share the ancestors' part.
+        rows = []
+        above: dict[NodeId | None, tuple[str, ...]] = {}
+        for city in self._order:
+            node = nodes[city]
+            names = above.get(node.parent)
+            if names is None:
+                names = tuple(nodes[a].name for a in reversed(self.ancestors(city)))
+                above[node.parent] = names
+            rows.append((*names, node.name))
+        # level -> those names, indexed by bit.
+        self._names: dict[Level, tuple[str, ...]] = dict(zip(LEVELS, zip(*rows)))
+        width = len(self._order)
+        # level above city -> display name -> mask of its cities.
+        self._masks: dict[Level, dict[str, int]] = {}
+        for level in ATTRIBUTE_LEVELS:
+            bits: dict[str, list[int]] = {}
+            for i, name in enumerate(self._names[level]):
+                bits.setdefault(name, []).append(i)
+            self._masks[level] = {name: _mask_of(b, width) for name, b in bits.items()}
+        # casefolded city name -> bits of the cities so named.
+        self._city_bits: dict[str, list[int]] = {}
+        for i, name in enumerate(self._names[Level.CITY]):
+            self._city_bits.setdefault(name.casefold(), []).append(i)
+        self.active = (1 << width) - 1
 
     def node(self, node_id: NodeId) -> TaxonomyNode:
         try:
@@ -158,22 +196,55 @@ class HypothesisGraph:
         return self.node(node_id).name
 
     def active_count(self) -> int:
-        return len(self.active_cities)
+        return self.active.bit_count()
 
     def is_active(self, city_id: NodeId) -> bool:
-        return city_id in self.active_cities
+        bit = self._bit.get(city_id)
+        return bit is not None and self.active >> bit & 1 == 1
+
+    @property
+    def active_cities(self) -> frozenset[NodeId]:
+        """The active cities as ids, derived from `active` on each read."""
+        return frozenset(self.cities(self.active))
+
+    def cities(self, mask: int) -> list[NodeId]:
+        """Ids of the cities whose bits are set in `mask`, in bit order."""
+        order = self._order
+        return [order[i] for i in _set_bits(mask)]
+
+    def names(self, level: Level, mask: int) -> list[str]:
+        """Display names at `level` of the cities in `mask`, in bit order."""
+        names = self._names[level]
+        return [names[i] for i in _set_bits(mask)]
+
+    def names_mask(self, level: Level, folded: Collection[str]) -> int:
+        """Mask of the cities whose casefolded name at `level` is in `folded`."""
+        if level is Level.CITY:
+            bits = self._city_bits
+            return _mask_of((i for name in folded for i in bits.get(name, ())), len(self._order))
+        mask = 0
+        for name, m in self._masks[level].items():
+            if name.casefold() in folded:
+                mask |= m
+        return mask
 
     def attribute_name(self, city_id: NodeId, level: Level) -> str:
         """Display name of the city's ancestor at `level` (its own name for city)."""
         try:
-            return self._attrs[city_id][level]
+            return self._names[level][self._bit[city_id]]
         except KeyError:
             raise UnknownIdError(f"unknown city id: {city_id}") from None
 
     def value_counts(self, level: Level) -> Counter[str]:
-        """Active cities per display name at `level`; case variants count apart."""
-        attrs = self._attrs
-        return Counter(attrs[c][level] for c in self.active_cities)
+        """Active cities per display name at a level above city; case variants
+        count apart, and names with no active city are left out."""
+        active = self.active
+        counts: Counter[str] = Counter()
+        for name, mask in self._masks[level].items():
+            count = (active & mask).bit_count()
+            if count:
+                counts[name] = count
+        return counts
 
     def ancestors(self, city_id: NodeId) -> list[NodeId]:
         """Ancestor path of a city, finest first: [state, country, subregion, region]."""
@@ -189,20 +260,23 @@ class HypothesisGraph:
 
     def prune(self, ids: Iterable[NodeId]) -> None:
         """Deactivate the given cities. Validates everything before mutating."""
-        id_set = set(ids)
-        for node_id in id_set:
-            if node_id not in self.nodes:
-                raise UnknownIdError(f"unknown node id: {node_id}")
-            if node_id.level is not Level.CITY:
+        bits = []
+        for node_id in ids:
+            bit = self._bit.get(node_id)
+            if bit is None:
+                self.node(node_id)  # raises UnknownIdError for an id not in the graph
                 raise NonCityIdError(f"only city nodes may be pruned: {node_id}")
-            if node_id not in self.active_cities:
-                raise AlreadyPrunedError(f"city already pruned: {node_id}")
-        n_before = len(self.active_cities)
-        if id_set and len(id_set) >= n_before:
+            bits.append(bit)
+        mask = _mask_of(bits, len(self._order))
+        stale = mask & ~self.active
+        if stale:
+            raise AlreadyPrunedError(f"city already pruned: {self.cities(stale)[0]}")
+        n_pruned, n_before = mask.bit_count(), self.active.bit_count()
+        if n_pruned and n_pruned >= n_before:
             raise WouldEmptySpaceError(
-                f"pruning {len(id_set)} of {n_before} active cities would empty the space"
+                f"pruning {n_pruned} of {n_before} active cities would empty the space"
             )
-        self.active_cities -= id_set
+        self.active &= ~mask
 
     def serialize_state(self) -> str:
         """Deterministic indented tree rendering; cities carry ACTIVE/PRUNED tags.
@@ -216,7 +290,7 @@ class HypothesisGraph:
             node = self.nodes[node_id]
             line = f"{'  ' * depth}{node.id} {node.name}"
             if node.id.level is Level.CITY:
-                tag = "ACTIVE" if node_id in self.active_cities else "PRUNED"
+                tag = "ACTIVE" if self.is_active(node_id) else "PRUNED"
                 line += f" [{tag}]"
             lines.append(line)
             for child in sorted(node.children, key=lambda i: i.numeric_id):
@@ -233,11 +307,11 @@ class HypothesisGraph:
     def fresh_copy(self) -> HypothesisGraph:
         """New graph with the same structure and all cities active.
 
-        Nodes and the ancestor-name table are shared; neither is mutated
-        after build. Only the active set is new.
+        Nodes and the bit tables are shared; neither is mutated after
+        build. Only the active mask is new.
         """
         clone = copy.copy(self)
-        clone.active_cities = set(self.city_leaves)
+        clone.active = (1 << len(self._order)) - 1
         return clone
 
 

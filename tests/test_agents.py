@@ -135,7 +135,7 @@ class TestGreedyChoose:
         assert chosen in (AttributeIn(Level.REGION, ("X",)), AttributeIn(Level.REGION, ("Y",)))
 
     def test_empty_space_rejected(self, graph):
-        graph.active_cities.clear()  # bypass prune's emptiness guard
+        graph.active = 0  # bypass prune's emptiness guard
         with pytest.raises(EmptySpaceError):
             greedy_choose(graph)
         with pytest.raises(EmptySpaceError):

@@ -189,7 +189,8 @@ class TestPrune:
         assert clone.active_count() == 40
         assert graph.active_count() == 38
         assert clone.nodes is graph.nodes
-        assert clone._attrs is graph._attrs
+        for table in ("_order", "_bit", "_names", "_masks", "_city_bits"):
+            assert getattr(clone, table) is getattr(graph, table)
         assert clone.fingerprint == graph.fingerprint
 
 
