@@ -117,19 +117,25 @@ class MenuEntry(NamedTuple):
 class HalfSpace:
     """The half-space city-set entry of the rule menu, built only when read.
 
-    Its values are the names of the lowest n // 2 active bits.
+    Its values are the names of the lowest n // 2 active bits. Cities match
+    by name, so `matches` counts every active city those names cover.
     """
 
     level = Level.CITY
 
     def __init__(self, graph: HypothesisGraph) -> None:
         self._graph = graph
-        self.matches = graph.active_count() // 2
 
     @functools.cached_property
     def values(self) -> tuple[str, ...]:
         g = self._graph
         return tuple(g.names(Level.CITY, g.active)[: g.active_count() // 2])
+
+    @functools.cached_property
+    def matches(self) -> int:
+        g = self._graph
+        folded = {v.casefold() for v in self.values}
+        return (g.names_mask(Level.CITY, folded) & g.active).bit_count()
 
 
 def rule_menu(graph: HypothesisGraph) -> list[MenuEntry | HalfSpace]:

@@ -24,6 +24,7 @@ from infoseek.agents import (
     SeekerOutput,
     candidate_predicates,
     greedy_choose,
+    rule_menu,
 )
 from infoseek.questions import (
     AttributeIn,
@@ -121,6 +122,21 @@ class TestGreedyChoose:
         g = build_graph(records)
         chosen = greedy_choose(g)
         assert chosen == AttributeIn(Level.COUNTRY, ("P",))
+
+    def test_half_space_counts_every_city_its_names_match(self, factory):
+        def usa(city, state):
+            return factory.record(city, state, "USA", "Northern America", "Americas")
+
+        g = build_graph([usa("Springfield", "Illinois"), usa("Chicago", "Illinois"),
+                         usa("Springfield", "Missouri"), usa("Kansas City", "Missouri")])
+        half = rule_menu(g)[-1]
+        assert half.values == ("Springfield", "Chicago")
+        assert half.matches == 3 == sum(CityIn(half.values).matches(g, c) for c in g.city_leaves)
+        # With Peoria for Kansas City no state halves the space; the half-space
+        # splits 3 against 1 as Illinois does, and loses the tie to the coarser level.
+        g = build_graph([usa("Springfield", "Illinois"), usa("Chicago", "Illinois"),
+                         usa("Springfield", "Missouri"), usa("Peoria", "Illinois")])
+        assert greedy_choose(g) == AttributeIn(Level.STATE, ("Illinois",))
 
     def test_perfect_attribute_split_beats_city_list(self, factory):
         records = [
