@@ -114,7 +114,7 @@ def _validated_prune(
     faults: list[str] = []
     seen: set[NodeId] = set()
     for node_id in pruned_ids:
-        n_seen = len(seen)
+        n_seen = len(seen)  # a repeat leaves the set as it was: one hash per id
         seen.add(node_id)
         if len(seen) == n_seen:
             faults.append(f"already_pruned:{node_id}")

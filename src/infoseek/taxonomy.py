@@ -131,6 +131,14 @@ def _set_bits(mask: int) -> list[int]:
     return bits
 
 
+def _bits_by(keys: Iterable[str]) -> dict[str, list[int]]:
+    """Each key -> the indices at which it occurs, in order."""
+    bits: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        bits.setdefault(key, []).append(i)
+    return bits
+
+
 def _mask_of(bits: Iterable[int], width: int) -> int:
     """Mask of `width` bits with exactly the given bit indices set."""
     buf = bytearray((width + 7) // 8)
@@ -174,16 +182,12 @@ class HypothesisGraph:
         self._names: dict[Level, tuple[str, ...]] = dict(zip(LEVELS, zip(*rows)))
         width = len(self._order)
         # level above city -> display name -> mask of its cities.
-        self._masks: dict[Level, dict[str, int]] = {}
-        for level in ATTRIBUTE_LEVELS:
-            bits: dict[str, list[int]] = {}
-            for i, name in enumerate(self._names[level]):
-                bits.setdefault(name, []).append(i)
-            self._masks[level] = {name: _mask_of(b, width) for name, b in bits.items()}
+        self._masks: dict[Level, dict[str, int]] = {
+            level: {name: _mask_of(b, width) for name, b in _bits_by(self._names[level]).items()}
+            for level in ATTRIBUTE_LEVELS
+        }
         # casefolded city name -> bits of the cities so named.
-        self._city_bits: dict[str, list[int]] = {}
-        for i, name in enumerate(self._names[Level.CITY]):
-            self._city_bits.setdefault(name.casefold(), []).append(i)
+        self._city_bits = _bits_by(name.casefold() for name in self._names[Level.CITY])
         self.active = (1 << width) - 1
 
     def node(self, node_id: NodeId) -> TaxonomyNode:
