@@ -210,10 +210,7 @@ class QuestionParser:
 
     def __init__(self, graph: HypothesisGraph) -> None:
         # Case variants read as their smallest spelling, as on the rule menu.
-        self._values = {
-            level: smallest_spellings({graph.attribute_name(c, level) for c in graph.city_leaves})
-            for level in LEVELS
-        }
+        self._values = {level: smallest_spellings(graph.distinct_names(level)) for level in LEVELS}
 
     def _displayed(self, level: Level, names: list[str]) -> tuple[str, ...]:
         return tuple(self._values[level].get(n.casefold(), n) for n in names)

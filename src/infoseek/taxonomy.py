@@ -131,14 +131,6 @@ def _set_bits(mask: int) -> list[int]:
     return bits
 
 
-def _bits_by(keys: Iterable[str]) -> dict[str, list[int]]:
-    """Each key -> the indices at which it occurs, in order."""
-    bits: dict[str, list[int]] = {}
-    for i, key in enumerate(keys):
-        bits.setdefault(key, []).append(i)
-    return bits
-
-
 def _mask_of(bits: Iterable[int], width: int) -> int:
     """Mask of `width` bits with exactly the given bit indices set."""
     buf = bytearray((width + 7) // 8)
@@ -170,25 +162,31 @@ class HypothesisGraph:
         # One row per bit: the display names of the city's ancestors, coarsest
         # first, then its own. Cities under one state share the ancestors' part.
         rows = []
-        above: dict[NodeId | None, tuple[str, ...]] = {}
+        above: dict[NodeId | None, list[str]] = {}
         for city in self._order:
             node = nodes[city]
             names = above.get(node.parent)
             if names is None:
-                names = tuple(nodes[a].name for a in reversed(self.ancestors(city)))
-                above[node.parent] = names
+                names = []
+                cur = node
+                while cur.parent is not None:
+                    cur = nodes[cur.parent]
+                    names.append(cur.name)
+                names = above[node.parent] = names[::-1]
             rows.append((*names, node.name))
         # level -> those names, indexed by bit.
         self._names: dict[Level, tuple[str, ...]] = dict(zip(LEVELS, zip(*rows)))
-        width = len(self._order)
         # level above city -> display name -> mask of its cities.
-        self._masks: dict[Level, dict[str, int]] = {
-            level: {name: _mask_of(b, width) for name, b in _bits_by(self._names[level]).items()}
-            for level in ATTRIBUTE_LEVELS
-        }
+        self._masks: dict[Level, dict[str, int]] = {}
+        for level in ATTRIBUTE_LEVELS:
+            masks = self._masks[level] = {}
+            for i, name in enumerate(self._names[level]):
+                masks[name] = masks.get(name, 0) | 1 << i
         # casefolded city name -> bits of the cities so named.
-        self._city_bits = _bits_by(name.casefold() for name in self._names[Level.CITY])
-        self.active = (1 << width) - 1
+        self._city_bits: dict[str, list[int]] = {}
+        for i, name in enumerate(self._names[Level.CITY]):
+            self._city_bits.setdefault(name.casefold(), []).append(i)
+        self.active = (1 << len(self._order)) - 1
 
     def node(self, node_id: NodeId) -> TaxonomyNode:
         try:
@@ -220,6 +218,10 @@ class HypothesisGraph:
         """Display names at `level` of the cities in `mask`, in bit order."""
         names = self._names[level]
         return [names[i] for i in _set_bits(mask)]
+
+    def distinct_names(self, level: Level) -> set[str]:
+        """Every display name at `level`, of active and pruned cities alike."""
+        return set(self._names[level])
 
     def names_mask(self, level: Level, folded: Collection[str]) -> int:
         """Mask of the cities whose casefolded name at `level` is in `folded`."""
