@@ -18,7 +18,7 @@ from enum import Enum
 from typing import NamedTuple, Protocol, Sequence
 
 from .questions import AttributeIn, CityGuess, CityIn, Predicate, prune_set, smallest_spellings
-from .taxonomy import ATTRIBUTE_LEVELS, HypothesisGraph, Level, NodeId
+from .taxonomy import ATTRIBUTE_LEVELS, HypothesisGraph, Level, NodeId, lowest_bits
 
 
 class AgentFailure(Exception):
@@ -117,25 +117,25 @@ class MenuEntry(NamedTuple):
 class HalfSpace:
     """The half-space city-set entry of the rule menu, built only when read.
 
-    Its values are the names of the lowest n // 2 active bits. Cities match
-    by name, so `matches` counts every active city those names cover.
+    Its values are the names of the lowest n // 2 active bits, read once.
+    Cities match by name, so `matches` counts every active city those names
+    cover: the low bits and their namesakes.
     """
 
     level = Level.CITY
 
     def __init__(self, graph: HypothesisGraph) -> None:
         self._graph = graph
+        self._low = lowest_bits(graph.active, graph.active_count() // 2)
 
     @functools.cached_property
     def values(self) -> tuple[str, ...]:
-        g = self._graph
-        return tuple(g.names(Level.CITY, g.active)[: g.active_count() // 2])
+        return tuple(self._graph.names(Level.CITY, self._low))
 
     @functools.cached_property
     def matches(self) -> int:
         g = self._graph
-        folded = {v.casefold() for v in self.values}
-        return (g.names_mask(Level.CITY, folded) & g.active).bit_count()
+        return (g.namesakes(self._low) & g.active).bit_count()
 
 
 def rule_menu(graph: HypothesisGraph) -> list[MenuEntry | HalfSpace]:
@@ -275,5 +275,5 @@ class RulePruner:
         eliminated = prune_set(question.predicate, word == "yes", graph)
         return PrunerOutput(
             rationale=f"Answer rules out {len(eliminated)} candidate(s).",
-            pruned_ids=tuple(sorted(eliminated, key=lambda i: i.numeric_id)),
+            pruned_ids=tuple(eliminated),
         )

@@ -28,7 +28,7 @@ from .agents import (
 from .codec import decode, encode, field_names
 from .metrics import GameMetrics, TurnMetrics, entropy
 from .questions import Predicate, QuestionParser
-from .taxonomy import GraphError, HypothesisGraph, Level, NodeId
+from .taxonomy import GraphError, HypothesisGraph, Level, NodeId, mask_of
 
 SCHEMA_VERSION = 1
 
@@ -104,39 +104,49 @@ class GameTranscript:
 
 def _validated_prune(
     pruned_ids: Sequence[NodeId], graph: HypothesisGraph, target: NodeId
-) -> tuple[list[NodeId], list[str]]:
+) -> tuple[list[NodeId], int, list[str]]:
     """Filter a requested prune to its applicable subset, tagging each fault.
 
     Unknown, non-city, duplicate/inactive, and target ids are dropped (never
     fatal — an erring pruner shouldn't abort the game or skew entropy).
+    Returns the valid ids, their mask, and the faults. Each id is looked up
+    once in the graph's bit table; repeats are tracked by bit.
     """
+    bit_of = graph.bit_of
+    width = len(bit_of)
+    active = graph.active.to_bytes((width + 7) // 8, "little")
+    seen = bytearray(len(active))
+    keep = bytearray(len(active))
+    unplaced: set[NodeId] = set()  # ids with no bit, seen so far
+    target_bit = bit_of.get(target)
     valid: list[NodeId] = []
     faults: list[str] = []
-    seen: set[NodeId] = set()
     for node_id in pruned_ids:
-        n_seen = len(seen)  # a repeat leaves the set as it was: one hash per id
-        seen.add(node_id)
-        if len(seen) == n_seen:
-            faults.append(f"already_pruned:{node_id}")
-            continue
-        if not graph.is_active(node_id):
-            if node_id not in graph.nodes:
-                faults.append(f"unknown_id:{node_id}")
-            elif node_id.level is not Level.CITY:
-                faults.append(f"non_city_id:{node_id}")
-            else:
+        bit = bit_of.get(node_id)
+        if bit is None:
+            if node_id in unplaced:
                 faults.append(f"already_pruned:{node_id}")
+            else:
+                unplaced.add(node_id)
+                kind = "unknown_id" if node_id not in graph.nodes else "non_city_id"
+                faults.append(f"{kind}:{node_id}")
             continue
-        if node_id == target:
+        byte, flag = bit >> 3, 1 << (bit & 7)
+        if seen[byte] & flag or not active[byte] & flag:
+            faults.append(f"already_pruned:{node_id}")
+        elif bit == target_bit:
             faults.append(f"target_in_prune_set:{node_id}")
-            continue
-        valid.append(node_id)
+        else:
+            valid.append(node_id)
+            keep[byte] |= flag
+        seen[byte] |= flag
     # Unreachable while the target filter holds (the target stays active),
     # but guard anyway: at least one candidate must survive every turn.
     if valid and len(valid) >= graph.active_count():
         faults.append("would_empty_space")
         valid = valid[: graph.active_count() - 1]
-    return valid, faults
+        return valid, mask_of((bit_of[i] for i in valid), width), faults
+    return valid, int.from_bytes(keep, "little"), faults
 
 
 def play_game(
@@ -181,9 +191,8 @@ def play_game(
             outcome = OUTCOME_AGENT_FAILURE
             break
 
-        valid, faults = _validated_prune(prune.pruned_ids, graph, cfg.target)
-        if valid:
-            graph.prune(valid)
+        valid, mask, faults = _validated_prune(prune.pruned_ids, graph, cfg.target)
+        graph.prune_mask(mask)
         # The target is never pruned, so a win is a claim with one city left.
         won = answer.game_over and graph.active_count() == 1
         if answer.game_over and not won:

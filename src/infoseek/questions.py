@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 from .metrics import information_gain
@@ -43,12 +44,17 @@ def smallest_spellings(names: Iterable[str]) -> dict[str, str]:
     return seen
 
 
-def _normalize_values(values: tuple[str, ...]) -> tuple[str, ...]:
-    """Strip, keep the smallest spelling of each case-variant, sort casefolded."""
+def _normalize_values(values: tuple[str, ...]) -> dict[str, str]:
+    """Casefolded value -> its smallest stripped spelling, in casefolded order.
+
+    Each value is casefolded once: in reverse sorted order the smallest
+    spelling of a key comes last and wins. One spelling per key, so sorting
+    by key is sorting by (casefold, spelling).
+    """
     stripped = [v.strip() for v in values]
     if not all(stripped):
         raise PredicateError("empty value in predicate")
-    return tuple(sorted(smallest_spellings(stripped).values(), key=lambda v: (v.casefold(), v)))
+    return dict(sorted({v.casefold(): v for v in sorted(stripped, reverse=True)}.items()))
 
 
 def _join_or(values: tuple[str, ...]) -> str:
@@ -72,8 +78,9 @@ class AttributeIn:
             raise PredicateError(f"attribute questions use region..state, got {self.level.value}")
         if not self.values:
             raise PredicateError("attribute predicate needs at least one value")
-        object.__setattr__(self, "values", _normalize_values(tuple(self.values)))
-        object.__setattr__(self, "_folded", frozenset(v.casefold() for v in self.values))
+        spellings = _normalize_values(tuple(self.values))
+        object.__setattr__(self, "values", tuple(spellings.values()))
+        object.__setattr__(self, "_folded", frozenset(spellings))
 
     def matches(self, graph: HypothesisGraph, city_id: NodeId) -> bool:
         return graph.attribute_name(city_id, self.level).casefold() in self._folded
@@ -103,8 +110,9 @@ class CityIn:
     def __post_init__(self) -> None:
         if not self.values:
             raise PredicateError("city-set predicate needs at least one value")
-        object.__setattr__(self, "values", _normalize_values(tuple(self.values)))
-        object.__setattr__(self, "_folded", frozenset(v.casefold() for v in self.values))
+        spellings = _normalize_values(tuple(self.values))
+        object.__setattr__(self, "values", tuple(spellings.values()))
+        object.__setattr__(self, "_folded", frozenset(spellings))
 
     def matches(self, graph: HypothesisGraph, city_id: NodeId) -> bool:
         return graph.attribute_name(city_id, Level.CITY).casefold() in self._folded
@@ -278,13 +286,15 @@ class QuestionParser:
         return None
 
 
-def prune_set(predicate: Predicate, answer: bool, graph: HypothesisGraph) -> set[NodeId]:
-    """Active cities eliminated by hearing `answer` to this predicate.
+def prune_set(predicate: Predicate, answer: bool, graph: HypothesisGraph) -> list[NodeId]:
+    """Active cities eliminated by hearing `answer` to this predicate, in
+    numeric-id order.
 
     Yes removes the non-matching cities; no removes the matching ones.
     """
     mask = predicate.mask(graph)
-    return set(graph.cities(graph.active & ~mask if answer else graph.active & mask))
+    eliminated = graph.cities(graph.active & ~mask if answer else graph.active & mask)
+    return sorted(eliminated, key=attrgetter("numeric_id"))
 
 
 def counterfactual_ig(

@@ -131,7 +131,7 @@ def _set_bits(mask: int) -> list[int]:
     return bits
 
 
-def _mask_of(bits: Iterable[int], width: int) -> int:
+def mask_of(bits: Iterable[int], width: int) -> int:
     """Mask of `width` bits with exactly the given bit indices set."""
     buf = bytearray((width + 7) // 8)
     for i in bits:
@@ -139,13 +139,29 @@ def _mask_of(bits: Iterable[int], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def lowest_bits(mask: int, k: int) -> int:
+    """The lowest k set bits of a non-negative mask (all of them if it has fewer).
+
+    Bisects on the width of the low part, so it costs about log2(bit_length)
+    bit counts and no loop over the bits.
+    """
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < k:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
+
+
 class HypothesisGraph:
     """Taxonomy tree plus the set of still-active city leaves.
 
     The active set is one int, `active`: bit i is the i-th city in
     id-string order ("city:10" before "city:2"). Ids appear only at the
-    edges (prune, is_active, cities). One instance is owned by exactly one
-    game; reads are safe to share.
+    edges (bit_of, prune, is_active, cities). One instance is owned by
+    exactly one game; reads are safe to share.
     """
 
     def __init__(
@@ -186,7 +202,17 @@ class HypothesisGraph:
         self._city_bits: dict[str, list[int]] = {}
         for i, name in enumerate(self._names[Level.CITY]):
             self._city_bits.setdefault(name.casefold(), []).append(i)
+        # The cities whose casefolded name another city also has.
+        self._shared = mask_of(
+            (i for bits in self._city_bits.values() if len(bits) > 1 for i in bits),
+            len(self._order),
+        )
         self.active = (1 << len(self._order)) - 1
+
+    @property
+    def bit_of(self) -> dict[NodeId, int]:
+        """City id -> its bit, for callers that look up many ids; not to be mutated."""
+        return self._bit
 
     def node(self, node_id: NodeId) -> TaxonomyNode:
         try:
@@ -227,12 +253,21 @@ class HypothesisGraph:
         """Mask of the cities whose casefolded name at `level` is in `folded`."""
         if level is Level.CITY:
             bits = self._city_bits
-            return _mask_of((i for name in folded for i in bits.get(name, ())), len(self._order))
+            return mask_of((i for name in folded for i in bits.get(name, ())), len(self._order))
         mask = 0
         for name, m in self._masks[level].items():
             if name.casefold() in folded:
                 mask |= m
         return mask
+
+    def namesakes(self, mask: int) -> int:
+        """Mask of the cities whose casefolded name some city in `mask` has.
+
+        `mask` itself is part of it. Only names more than one city has are
+        looked up, so on data with unique names this is `mask`.
+        """
+        shared = self.names(Level.CITY, mask & self._shared)
+        return mask | self.names_mask(Level.CITY, {name.casefold() for name in shared})
 
     def attribute_name(self, city_id: NodeId, level: Level) -> str:
         """Display name of the city's ancestor at `level` (its own name for city)."""
@@ -273,7 +308,11 @@ class HypothesisGraph:
                 self.node(node_id)  # raises UnknownIdError for an id not in the graph
                 raise NonCityIdError(f"only city nodes may be pruned: {node_id}")
             bits.append(bit)
-        mask = _mask_of(bits, len(self._order))
+        self.prune_mask(mask_of(bits, len(self._order)))
+
+    def prune_mask(self, mask: int) -> None:
+        """Deactivate the cities in `mask`. Raises before mutating if one of
+        them is already pruned, or if they are every active city."""
         stale = mask & ~self.active
         if stale:
             raise AlreadyPrunedError(f"city already pruned: {self.cities(stale)[0]}")

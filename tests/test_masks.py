@@ -58,8 +58,8 @@ def check_masks(g, alive: set[NodeId]) -> None:
     guesses = [CityGuess(g.attribute_name(c, Level.CITY)) for c in alive]
     for p in [*map(menu_predicate, menu), *guesses]:
         yes = {c for c in alive if p.matches(g, c)}
-        assert prune_set(p, True, g) == alive - yes
-        assert prune_set(p, False, g) == yes
+        assert set(prune_set(p, True, g)) == alive - yes
+        assert set(prune_set(p, False, g)) == yes
         for target in alive:
             kept = len(yes) if target in yes else n - len(yes)
             assert counterfactual_ig(p, g, target) == information_gain(n, kept)

@@ -12,6 +12,7 @@ from infoseek.questions import (
     PredicateError,
     QuestionParser,
     TargetNotActiveError,
+    _normalize_values,
     counterfactual_ig,
     parse_canonical,
     prune_set,
@@ -95,6 +96,42 @@ def test_value_order_never_changes_identity(names, keys):
     assert a.render() == b.render()
 
 
+def reference_normalize(values):
+    """The definition: strip, keep each key's smallest spelling, sort by
+    (casefold, spelling)."""
+    stripped = [v.strip() for v in values]
+    if not all(stripped):
+        raise PredicateError("empty value in predicate")
+    smallest: dict[str, str] = {}
+    for v in stripped:
+        smallest[v.casefold()] = min(smallest.get(v.casefold(), v), v)
+    return tuple(sorted(smallest.values(), key=lambda v: (v.casefold(), v)))
+
+
+_SPELLINGS = ["ab", "AB", "Ab", "aB", "b", "B", "ß", "ss", "SS", "Straße", "STRASSE"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(_SPELLINGS),
+                  st.sampled_from(["", "  ", "\n"])).map("".join),
+        st.sampled_from(["", "   "]),
+    ),
+    min_size=1, max_size=8,
+))
+def test_normalize_values_equals_its_definition(values):
+    try:
+        expected = reference_normalize(values)
+    except PredicateError:
+        with pytest.raises(PredicateError):
+            _normalize_values(tuple(values))
+        return
+    spellings = _normalize_values(tuple(values))
+    assert tuple(spellings.values()) == expected
+    assert list(spellings) == [v.casefold() for v in expected]
+
+
 class TestRender:
     def test_region_membership_reads_naturally(self):
         assert AttributeIn(Level.REGION, ("Asia",)).render() == "Is the target city in Asia?"
@@ -136,8 +173,8 @@ class TestEvaluate:
 class TestPruneSet:
     def test_partition_over_actives(self, graph):
         p = AttributeIn(Level.REGION, ("Asia",))
-        yes = prune_set(p, True, graph)
-        no = prune_set(p, False, graph)
+        yes = set(prune_set(p, True, graph))
+        no = set(prune_set(p, False, graph))
         active = {c for c in graph.city_leaves if graph.is_active(c)}
         assert yes | no == active
         assert yes & no == set()
@@ -192,12 +229,12 @@ def test_prune_set_complement_property(base_graph, level, idx, answer):
     target = sorted(g.city_leaves, key=lambda n: n.numeric_id)[idx]
     value = g.attribute_name(target, level)
     p = AttributeIn(level, (value,))
-    removed = prune_set(p, answer, g)
+    removed = set(prune_set(p, answer, g))
     # a truthful answer never prunes the city it was derived from
     if answer == p.matches(g, target):
         assert target not in removed
     active = {c for c in g.city_leaves if g.is_active(c)}
-    assert removed | prune_set(p, not answer, g) == active
+    assert removed | set(prune_set(p, not answer, g)) == active
 
 
 def _parse_expected(p):
