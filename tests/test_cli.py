@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -419,10 +421,14 @@ class TestArgumentErrors:
 
 
 def test_module_runs_as_script():
+    # pytest's own pythonpath setting does not reach a child process.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "infoseek.cli", "validate-data", CSV],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "records: 40" in proc.stdout
