@@ -313,14 +313,6 @@ def parse_pruner_json(text: str) -> PrunerOutput:
     return PrunerOutput(rationale=rationale, pruned_ids=tuple(ids), raw=text)
 
 
-def parse_extractor_json(text: str) -> list[str]:
-    """Parse a candidate-extraction reply: the first JSON array of strings."""
-    for arr in iter_json_values(text, "["):
-        if all(isinstance(x, str) for x in arr):
-            return arr
-    raise MalformedResponseError(f"no JSON string array in reply: {text[:200]!r}")
-
-
 def render_history(history: Sequence[tuple[str, str]]) -> str:
     if not history:
         return "No questions asked yet."

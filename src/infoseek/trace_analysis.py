@@ -14,13 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .engine import GameTranscript, replay_turns
-from .llm import ChatMessage, EndpointConfig, WireError, complete, parse_extractor_json
 from .questions import Predicate, QuestionParser, counterfactual_ig
 from .taxonomy import HypothesisGraph, NodeId
-
-
-class ExtractorFailureError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -107,29 +102,6 @@ def _dedupe(texts: Iterable[str]) -> list[str]:
             seen.add(key)
             out.append(text.strip())
     return out
-
-
-LLM_EXTRACTION_PROMPT = (
-    "You extract candidate questions from a thinking trace produced while "
-    "playing a yes/no guessing game. Identify every distinct candidate "
-    "yes/no question the trace considers asking, quoted or paraphrased. "
-    "Return ONLY a JSON array of strings, one per candidate question, in "
-    "order of first appearance. No commentary, no code fences."
-)
-
-
-class LLMExtractor:
-    """Model-backed candidate extraction; opt-in, needs a served endpoint."""
-
-    def __init__(self, endpoint: EndpointConfig) -> None:
-        self.endpoint = endpoint
-
-    def extract(self, trace: str) -> list[str]:
-        messages = [ChatMessage("system", LLM_EXTRACTION_PROMPT), ChatMessage("user", trace)]
-        try:
-            return _dedupe(complete(self.endpoint, messages, parse_extractor_json).parsed)
-        except WireError as exc:
-            raise ExtractorFailureError(str(exc)) from exc
 
 
 def extract_candidates(

@@ -13,14 +13,11 @@ from infoseek.engine import (
     ReplayDivergenceError,
     play_game,
 )
-from infoseek.llm import EndpointConfig
 from infoseek.metrics import TurnMetrics
 from infoseek.questions import AttributeIn, CityGuess, CityIn
 from infoseek.taxonomy import Level, NodeId
 from infoseek.trace_analysis import (
-    ExtractorFailureError,
     HeuristicExtractor,
-    LLMExtractor,
     QuestionParser,
     decision_quality,
     extract_candidates,
@@ -294,58 +291,3 @@ class TestDecisionQuality:
         game = manual_transcript(base_graph, TOKYO, [(ASIA_Q, trace, "Yes", NON_ASIA)])
         report = decision_quality([game], base_graph)
         assert str(report.avg_optimal_rate) == "1.00 ± 0.00"
-
-
-class TestLLMExtractor:
-    def _extractor(self, mock_llm):
-        return LLMExtractor(
-            EndpointConfig(
-                base_url=mock_llm.url,
-                model_name="extractor",
-                backoff_seconds=0.01,
-                timeout=5.0,
-            )
-        )
-
-    def test_json_array_reply(self, mock_llm):
-        mock_llm.say('["Is it in Asia?", "Is it in Europe?"]')
-        assert self._extractor(mock_llm).extract("trace text") == [
-            "Is it in Asia?",
-            "Is it in Europe?",
-        ]
-
-    def test_prose_wrapped_array(self, mock_llm):
-        mock_llm.say('Here are the candidates: ["Is it Tokyo?"] — done.')
-        assert self._extractor(mock_llm).extract("trace") == ["Is it Tokyo?"]
-
-    def test_dedupes(self, mock_llm):
-        mock_llm.say('["Is it in Asia?", "is it in asia?"]')
-        assert self._extractor(mock_llm).extract("trace") == ["Is it in Asia?"]
-
-    def test_reply_without_array_fails(self, mock_llm):
-        mock_llm.say("No questions were considered in this trace.")
-        with pytest.raises(ExtractorFailureError):
-            self._extractor(mock_llm).extract("trace")
-
-    def test_embedded_empty_array_means_no_candidates(self, mock_llm):
-        mock_llm.say('{"candidates": []}')
-        assert self._extractor(mock_llm).extract("trace") == []
-
-    def test_mixed_type_array_fails(self, mock_llm):
-        mock_llm.say('["Is it in Asia?", 42]')
-        with pytest.raises(ExtractorFailureError):
-            self._extractor(mock_llm).extract("trace")
-
-    def test_wire_failure_wrapped(self, mock_llm):
-        mock_llm.enqueue(404, "gone")
-        with pytest.raises(ExtractorFailureError):
-            self._extractor(mock_llm).extract("trace")
-
-    def test_prompt_sent_as_system(self, mock_llm):
-        from infoseek.trace_analysis import LLM_EXTRACTION_PROMPT
-
-        mock_llm.say('["Q?"]')
-        self._extractor(mock_llm).extract("the trace body")
-        sent = mock_llm.requests[0]["body"]["messages"]
-        assert sent[0] == {"role": "system", "content": LLM_EXTRACTION_PROMPT}
-        assert sent[1] == {"role": "user", "content": "the trace body"}
