@@ -197,7 +197,7 @@ def play_game(
         won = answer.game_over and graph.active_count() == 1
         if answer.game_over and not won:
             faults.append("false_game_over")
-        metrics = TurnMetrics.measure(turn_index, n_before, graph.active_count())
+        metrics = TurnMetrics.measure(n_before, graph.active_count())
         record = TurnRecord(
             turn_index=turn_index,
             question_text=question.question_text,
@@ -271,7 +271,7 @@ def replay_turns(
                 g.prune(turn.pruned_ids)
         except GraphError as exc:
             raise ReplayDivergenceError(f"turn {turn.turn_index}: {exc}") from exc
-        metrics = TurnMetrics.measure(turn.turn_index, n_before, g.active_count())
+        metrics = TurnMetrics.measure(n_before, g.active_count())
         _check_drift(turn, "h_after", metrics.h_after)
         _check_drift(turn, "ig", metrics.ig)
 
@@ -301,7 +301,7 @@ def _dump(obj: dict) -> str:
 def transcript_to_jsonl(transcript: GameTranscript) -> str:
     """One self-contained line-delimited document: header, turns, footer.
 
-    Turn rows carry their metrics' fields, so the footer leaves out per_turn.
+    Turn rows carry their metrics' fields; the footer carries the game's totals.
     """
     header = {
         "kind": "header",
@@ -315,8 +315,7 @@ def transcript_to_jsonl(transcript: GameTranscript) -> str:
         row.update(row.pop("metrics"), kind="turn")
         lines.append(_dump(row))
     lines.extend(_dump({"kind": "audit", **encode(e)}) for e in transcript.audit_events)
-    game_metrics = encode(replace(transcript.game_metrics, per_turn=()))
-    del game_metrics["per_turn"]
+    game_metrics = encode(transcript.game_metrics)
     lines.append(
         _dump({"kind": "footer", "outcome": transcript.outcome, "game_metrics": game_metrics})
     )
@@ -344,22 +343,13 @@ def transcript_from_jsonl(text: str) -> GameTranscript:
         raise TranscriptFormatError(f"unsupported schema_version {version!r}")
 
     try:
-        for row in rows["turn"]:  # its metrics' fields sit in the row; turn_index is shared
-            row["metrics"] = {
-                name: row[name] if name == "turn_index" else row.pop(name)
-                for name in field_names(TurnMetrics)
-            }
-        turns = tuple(decode(TurnRecord, row) for row in rows["turn"])
+        for row in rows["turn"]:  # its metrics' fields sit in the row
+            row["metrics"] = {name: row.pop(name) for name in field_names(TurnMetrics)}
         # Stored totals are loaded verbatim (not recomputed) so that replay
         # can tell a tampered file from a faithful one.
-        game_metrics = decode(
-            GameMetrics, footer.pop("game_metrics"), per_turn=tuple(t.metrics for t in turns)
-        )
         return decode(
             GameTranscript,
-            {**header, **footer, "audit_events": rows["audit"]},
-            turns=turns,
-            game_metrics=game_metrics,
+            {**header, **footer, "turns": rows["turn"], "audit_events": rows["audit"]},
         )
     except (KeyError, ValueError, InvalidTargetError) as exc:
         raise TranscriptFormatError(f"bad transcript field: {exc}") from exc

@@ -208,7 +208,6 @@ def run_experiment(
         if cfg.count_failures_as_losses
         else [t for t in transcripts if t.outcome != OUTCOME_AGENT_FAILURE]
     )
-    games = [t.game_metrics for t in counted]
     fault_summary: Counter[str] = Counter()
     for transcript in transcripts:
         for turn in transcript.turns:
@@ -219,8 +218,8 @@ def run_experiment(
         config=cfg,
         manifest=manifest,
         per_game=per_game,
-        aggregate=aggregate(games),
-        timeline=tuple(ig_timeline(games, cfg.max_turns)),
+        aggregate=aggregate([t.game_metrics for t in counted]),
+        timeline=tuple(ig_timeline([[r.metrics for r in t.turns] for t in counted], cfg.max_turns)),
         fault_summary=dict(sorted(fault_summary.items())),
         failure_count=failure_count,
         transcripts=tuple(transcripts),

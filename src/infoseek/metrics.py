@@ -47,15 +47,13 @@ def information_gain(n_before: int, n_after: int) -> float:
 class TurnMetrics:
     """Entropy before/after one full turn; ig is exactly their difference."""
 
-    turn_index: int
     h_before: float
     h_after: float
     ig: float
 
     @classmethod
-    def measure(cls, turn_index: int, n_before: int, n_after: int) -> TurnMetrics:
+    def measure(cls, n_before: int, n_after: int) -> TurnMetrics:
         return cls(
-            turn_index=turn_index,
             h_before=entropy(n_before),
             h_after=entropy(n_after),
             ig=information_gain(n_before, n_after),
@@ -64,9 +62,10 @@ class TurnMetrics:
 
 @dataclass(frozen=True)
 class GameMetrics:
+    """A game's totals; its per-turn metrics live on its turns."""
+
     win: bool
     turns: int
-    per_turn: tuple[TurnMetrics, ...]
     total_ig: float
     ig_per_turn: float
 
@@ -80,7 +79,6 @@ class GameMetrics:
         return cls(
             win=win,
             turns=turns,
-            per_turn=tuple(per_turn),
             total_ig=total,
             ig_per_turn=total / turns if turns else 0.0,
         )
@@ -157,12 +155,12 @@ class TimelinePoint:
     n_games: int
 
 
-def ig_timeline(games: Iterable[GameMetrics], max_turns: int) -> list[TimelinePoint]:
-    """Mean per-turn gain at each turn index, over the games that reached it."""
+def ig_timeline(games: Iterable[Sequence[TurnMetrics]], max_turns: int) -> list[TimelinePoint]:
+    """Mean per-turn gain at each turn index, over the games (turn metrics) that reached it."""
     points = []
     all_games = list(games)
     for t in range(1, max_turns + 1):
-        igs = [g.per_turn[t - 1].ig for g in all_games if len(g.per_turn) >= t]
+        igs = [g[t - 1].ig for g in all_games if len(g) >= t]
         points.append(
             TimelinePoint(
                 turn_index=t,

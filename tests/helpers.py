@@ -44,7 +44,7 @@ def manual_transcript(base_graph, target, turns_spec, max_turns=30):
                 oracle_answer=answer,
                 game_over=False,
                 pruned_ids=pruned,
-                metrics=TurnMetrics.measure(i, n_before, g.active_count()),
+                metrics=TurnMetrics.measure(n_before, g.active_count()),
                 seeker_trace=trace,
             )
         )

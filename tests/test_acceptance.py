@@ -337,8 +337,8 @@ def test_criterion_08_decision_quality_pipeline(base_graph):
 
 def test_criterion_09_aggregation_arithmetic():
     with criterion(9, "SE arithmetic on win/loss and identical-game fixtures"):
-        win = GameMetrics.from_turns(True, [TurnMetrics.measure(1, 40, 20)])
-        loss = GameMetrics.from_turns(False, [TurnMetrics.measure(1, 40, 20)])
+        win = GameMetrics.from_turns(True, [TurnMetrics.measure(40, 20)])
+        loss = GameMetrics.from_turns(False, [TurnMetrics.measure(40, 20)])
         mixed = aggregate([win, loss])
         assert mixed.win_rate.mean == 0.5
         assert mixed.win_rate.se == pytest.approx(0.5)

@@ -62,7 +62,7 @@ class TestInformationGain:
 
 class TestTurnMetrics:
     def test_measure_matches_direct_subtraction(self):
-        tm = TurnMetrics.measure(turn_index=1, n_before=40, n_after=27)
+        tm = TurnMetrics.measure(n_before=40, n_after=27)
         assert tm.h_before == entropy(40)
         assert tm.h_after == entropy(27)
         assert tm.ig == tm.h_before - tm.h_after  # exact float identity
@@ -71,16 +71,16 @@ class TestTurnMetrics:
     @given(st.integers(2, 100_000), st.data())
     def test_ig_identity_property(self, n_before, data):
         n_after = data.draw(st.integers(1, n_before))
-        tm = TurnMetrics.measure(turn_index=3, n_before=n_before, n_after=n_after)
+        tm = TurnMetrics.measure(n_before=n_before, n_after=n_after)
         assert tm.ig == tm.h_before - tm.h_after
 
 
 class TestGameMetrics:
     def test_totals(self):
         turns = (
-            TurnMetrics.measure(1, 40, 20),
-            TurnMetrics.measure(2, 20, 10),
-            TurnMetrics.measure(3, 10, 1),
+            TurnMetrics.measure(40, 20),
+            TurnMetrics.measure(20, 10),
+            TurnMetrics.measure(10, 1),
         )
         gm = GameMetrics.from_turns(True, turns)
         assert gm.win is True
@@ -89,7 +89,7 @@ class TestGameMetrics:
         assert gm.ig_per_turn == gm.total_ig / 3
 
     def test_explicit_turn_charge_overrides_count(self):
-        turns = (TurnMetrics.measure(1, 40, 20),)
+        turns = (TurnMetrics.measure(40, 20),)
         gm = GameMetrics.from_turns(False, turns, turns=30)
         assert gm.turns == 30
         assert gm.ig_per_turn == gm.total_ig / 30
@@ -125,11 +125,12 @@ class TestMeanSE:
         assert str(MeanSE(5.321928, 0.126)) == "5.32 ± 0.13"
 
 
+def _turns(shrinks: list[tuple[int, int]]) -> list[TurnMetrics]:
+    return [TurnMetrics.measure(nb, na) for nb, na in shrinks]
+
+
 def _game(win: bool, shrinks: list[tuple[int, int]], charged: int | None = None) -> GameMetrics:
-    per_turn = tuple(
-        TurnMetrics.measure(i + 1, nb, na) for i, (nb, na) in enumerate(shrinks)
-    )
-    return GameMetrics.from_turns(win, per_turn, turns=charged)
+    return GameMetrics.from_turns(win, _turns(shrinks), turns=charged)
 
 
 class TestAggregate:
@@ -169,7 +170,7 @@ class TestAggregate:
 
 class TestTimeline:
     def test_points_per_turn_index(self):
-        games = [_game(True, [(40, 10), (10, 5), (5, 1)])]
+        games = [_turns([(40, 10), (10, 5), (5, 1)])]
         points = ig_timeline(games, max_turns=4)
         assert len(points) == 4
         assert points[0] == TimelinePoint(1, information_gain(40, 10), 1)
@@ -177,8 +178,8 @@ class TestTimeline:
         assert points[3] == TimelinePoint(4, None, 0)
 
     def test_short_games_drop_out_of_later_turns(self):
-        short = _game(True, [(40, 20)])
-        long = _game(True, [(40, 10), (10, 2)])
+        short = _turns([(40, 20)])
+        long = _turns([(40, 10), (10, 2)])
         points = ig_timeline([short, long], max_turns=2)
         assert points[0].n_games == 2
         assert points[0].mean_ig == pytest.approx(
@@ -189,9 +190,9 @@ class TestTimeline:
 
     def test_n_games_never_increases(self):
         games = [
-            _game(True, [(40, 20)]),
-            _game(True, [(40, 20), (20, 10)]),
-            _game(True, [(40, 20), (20, 10), (10, 1)]),
+            _turns([(40, 20)]),
+            _turns([(40, 20), (20, 10)]),
+            _turns([(40, 20), (20, 10), (10, 1)]),
         ]
         points = ig_timeline(games, max_turns=5)
         counts = [p.n_games for p in points]

@@ -253,7 +253,7 @@ class TestIterTurnDecisions:
         first = transcript.turns[0]
         # entropy checks out, but the second turn re-prunes the same cities
         repeat = dataclasses.replace(
-            first, turn_index=2, metrics=TurnMetrics.measure(2, 27, 27)
+            first, turn_index=2, metrics=TurnMetrics.measure(27, 27)
         )
         doctored = dataclasses.replace(transcript, turns=(first, repeat))
         with pytest.raises(ReplayDivergenceError):
