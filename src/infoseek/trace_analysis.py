@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engine import GameTranscript, replay_turns
 from .questions import Predicate, QuestionParser, counterfactual_ig
@@ -70,50 +70,29 @@ _YESNO_START_RE = re.compile(
 _LEADING_JUNK_RE = re.compile(r"^[\s\"'*\-–—\d.)(:“”‘’]+")
 
 
-class Extractor(Protocol):
-    def extract(self, trace: str) -> list[str]: ...
+def extract_candidates(trace: str, executed_question: str | None = None) -> list[str]:
+    """The yes/no questions in free-form reasoning text, then the executed one.
 
-
-class HeuristicExtractor:
-    """Pull candidate yes/no questions out of free-form reasoning text."""
-
-    def extract(self, trace: str) -> list[str]:
-        found = []
-        for match in _SPAN_RE.finditer(trace):
-            span = match.group().replace("\n", " ")
-            variants = [span]
-            for splitter in ('"', "“", ":"):
-                if splitter in span:
-                    variants.append(span.rsplit(splitter, 1)[1])
-            for variant in variants:
-                cleaned = _LEADING_JUNK_RE.sub("", variant).strip()
-                if cleaned and _YESNO_START_RE.match(cleaned):
-                    found.append(cleaned)
-                    break
-        return _dedupe(found)
-
-
-def _dedupe(texts: Iterable[str]) -> list[str]:
-    seen = set()
-    out = []
-    for text in texts:
-        key = text.strip().casefold()
-        if key and key not in seen:
-            seen.add(key)
-            out.append(text.strip())
-    return out
-
-
-def extract_candidates(
-    trace: str, extractor: Extractor, executed_question: str | None = None
-) -> list[str]:
-    """Candidate texts from a trace; the executed question is always included."""
-    texts = _dedupe(extractor.extract(trace)) if trace else []
+    Texts are stripped and kept once per casefolded form, first spelling first.
+    """
+    found = []
+    for match in _SPAN_RE.finditer(trace):
+        span = match.group().replace("\n", " ")
+        variants = [span]
+        for splitter in ('"', "“", ":"):
+            if splitter in span:
+                variants.append(span.rsplit(splitter, 1)[1])
+        for variant in variants:
+            cleaned = _LEADING_JUNK_RE.sub("", variant).strip()
+            if cleaned and _YESNO_START_RE.match(cleaned):
+                found.append(cleaned)
+                break
     if executed_question:
-        folded = {t.casefold() for t in texts}
-        if executed_question.strip().casefold() not in folded:
-            texts.append(executed_question.strip())
-    return texts
+        found.append(executed_question.strip())
+    unique: dict[str, str] = {}
+    for text in found:
+        unique.setdefault(text.casefold(), text)
+    return list(unique.values())
 
 
 def score_turn(
@@ -169,24 +148,19 @@ def score_turn(
 def iter_turn_decisions(
     transcripts: Sequence[GameTranscript],
     graph: HypothesisGraph,
-    extractor: Extractor | None = None,
     parser: QuestionParser | None = None,
 ) -> Iterator[tuple[int, TurnDecision | None]]:
     """(game index, decision-or-None) per turn, walking each game's graph state.
 
     None marks a skipped turn (no trace, or nothing scorable).
     """
-    extractor = extractor or HeuristicExtractor()
     parser = parser or QuestionParser(graph)
     for game_index, transcript in enumerate(transcripts):
         for turn, g in replay_turns(transcript, graph):
             decision = None
             if turn.seeker_trace:
-                texts = extract_candidates(
-                    turn.seeker_trace, extractor, executed_question=turn.question_text
-                )
                 decision = score_turn(
-                    texts,
+                    extract_candidates(turn.seeker_trace, turn.question_text),
                     g,
                     transcript.config.target,
                     parser,
@@ -200,11 +174,10 @@ def iter_turn_decisions(
 def decision_quality(
     transcripts: Sequence[GameTranscript],
     graph: HypothesisGraph,
-    extractor: Extractor | None = None,
     parser: QuestionParser | None = None,
 ) -> DecisionQualityReport:
     """Score every turn of every transcript, then summarize."""
-    return summarize_decisions(iter_turn_decisions(transcripts, graph, extractor, parser))
+    return summarize_decisions(iter_turn_decisions(transcripts, graph, parser))
 
 
 def summarize_decisions(

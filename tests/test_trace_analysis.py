@@ -17,7 +17,6 @@ from infoseek.metrics import TurnMetrics
 from infoseek.questions import AttributeIn, CityGuess, CityIn
 from infoseek.taxonomy import Level, NodeId
 from infoseek.trace_analysis import (
-    HeuristicExtractor,
     QuestionParser,
     decision_quality,
     extract_candidates,
@@ -95,11 +94,11 @@ class TestHeuristicExtractor:
             'I could split by region with "Is the target city in Asia?" or go finer '
             'with "Is the target city in Europe?" — Asia is closer to half.'
         )
-        assert HeuristicExtractor().extract(trace) == [ASIA_Q, EUROPE_Q]
+        assert extract_candidates(trace) == [ASIA_Q, EUROPE_Q]
 
     def test_numbered_list(self):
         trace = "Options:\n1. Is it in Asia?\n2. Is it in Europe?\n3. Is it Tokyo?"
-        assert HeuristicExtractor().extract(trace) == [
+        assert extract_candidates(trace) == [
             "Is it in Asia?",
             "Is it in Europe?",
             "Is it Tokyo?",
@@ -107,29 +106,28 @@ class TestHeuristicExtractor:
 
     def test_colon_prefixed(self):
         trace = "Best candidate: is the city in Japan?"
-        assert HeuristicExtractor().extract(trace) == ["is the city in Japan?"]
+        assert extract_candidates(trace) == ["is the city in Japan?"]
 
     def test_statements_with_question_marks_ignored(self):
         trace = "The space has 40 candidates? Hmm, tricky."
-        assert HeuristicExtractor().extract(trace) == []
+        assert extract_candidates(trace) == []
 
     def test_dedupes_case_variants(self):
         trace = 'Maybe "Is it in Asia?" yes, "is it in asia?" sounds right.'
-        assert HeuristicExtractor().extract(trace) == ["Is it in Asia?"]
+        assert extract_candidates(trace) == ["Is it in Asia?"]
 
     def test_newlines_inside_a_question(self):
         trace = 'Perhaps "Is the target\ncity in Asia?"'
-        assert HeuristicExtractor().extract(trace) == ["Is the target city in Asia?"]
+        assert extract_candidates(trace) == ["Is the target city in Asia?"]
 
     def test_empty_trace(self):
-        assert HeuristicExtractor().extract("") == []
+        assert extract_candidates("") == []
 
 
 class TestExtractCandidates:
     def test_executed_question_appended_when_missing(self):
         texts = extract_candidates(
             'Considering "Is it in Asia?" first.',
-            HeuristicExtractor(),
             executed_question=EUROPE_Q,
         )
         assert texts == ["Is it in Asia?", EUROPE_Q]
@@ -137,13 +135,12 @@ class TestExtractCandidates:
     def test_executed_question_not_duplicated(self):
         texts = extract_candidates(
             f'Going with "{ASIA_Q.lower()}" now.',
-            HeuristicExtractor(),
             executed_question=ASIA_Q,
         )
         assert len(texts) == 1
 
     def test_empty_trace_yields_executed_only(self):
-        assert extract_candidates("", HeuristicExtractor(), ASIA_Q) == [ASIA_Q]
+        assert extract_candidates("", ASIA_Q) == [ASIA_Q]
 
 
 class TestScoreTurn:
