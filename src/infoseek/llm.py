@@ -18,7 +18,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from .agents import AgentFailure, OracleOutput, PrunerOutput, SeekerContext, SeekerOutput
 from .taxonomy import HypothesisGraph, NodeId
@@ -252,25 +252,16 @@ def complete(
         attempt += 1
 
 
-def iter_json_values(text: str, opener: str) -> Iterator[Any]:
-    """Every JSON value that decodes at an `opener` ("{" or "[") in the text.
-
-    Values come in text order; prose and code fences around them are skipped.
-    """
-    decoder = json.JSONDecoder()
-    for i, ch in enumerate(text):
-        if ch != opener:
-            continue
-        try:
-            value, _ = decoder.raw_decode(text, i)
-        except ValueError:
-            continue
-        yield value
-
-
 def extract_first_json_object(text: str) -> dict[str, Any] | None:
     """First decodable JSON object in the text, prose and code fences tolerated."""
-    return next(iter_json_values(text, "{"), None)
+    decoder = json.JSONDecoder()
+    start = text.find("{")
+    while start != -1:
+        try:
+            return decoder.raw_decode(text, start)[0]
+        except ValueError:
+            start = text.find("{", start + 1)
+    return None
 
 
 def parse_oracle_json(text: str) -> OracleOutput:
