@@ -36,25 +36,22 @@ class TargetNotActiveError(GraphError):
 
 
 def smallest_spellings(names: Iterable[str]) -> dict[str, str]:
-    """Casefolded name -> its smallest spelling, whatever order the names come in."""
-    seen: dict[str, str] = {}
-    for name in names:
-        key = name.casefold()
-        seen[key] = min(seen.get(key, name), name)
-    return seen
+    """Casefolded name -> its smallest spelling, whatever order the names come in.
+
+    In reverse sorted order the smallest spelling of a name comes last and wins.
+    """
+    return {n.casefold(): n for n in sorted(names, reverse=True)}
 
 
 def _normalize_values(values: tuple[str, ...]) -> dict[str, str]:
     """Casefolded value -> its smallest stripped spelling, in casefolded order.
 
-    Each value is casefolded once: in reverse sorted order the smallest
-    spelling of a key comes last and wins. One spelling per key, so sorting
-    by key is sorting by (casefold, spelling).
+    One spelling per key, so sorting by key is sorting by (casefold, spelling).
     """
     stripped = [v.strip() for v in values]
     if not all(stripped):
         raise PredicateError("empty value in predicate")
-    return dict(sorted({v.casefold(): v for v in sorted(stripped, reverse=True)}.items()))
+    return dict(sorted(smallest_spellings(stripped).items()))
 
 
 def _join_or(values: tuple[str, ...]) -> str:
