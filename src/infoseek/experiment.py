@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .agents import (
+    AgentFailure,
     GreedyHalvingSeeker,
     Observability,
     Oracle,
@@ -208,6 +209,8 @@ def run_experiment(
         if cfg.count_failures_as_losses
         else [t for t in transcripts if t.outcome != OUTCOME_AGENT_FAILURE]
     )
+    if not counted:
+        raise AgentFailure(f"all {failure_count} games ended in agent_failure")
     fault_summary: Counter[str] = Counter()
     for transcript in transcripts:
         for turn in transcript.turns:

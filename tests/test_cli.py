@@ -112,6 +112,25 @@ class TestRun:
         assert "all 40 games ended in agent_failure" in err
         assert len(mock_llm.requests) == 40  # a 401 is not retried
 
+    def test_every_game_failing_uncounted_is_a_runtime_failure(
+        self, capsys, tmp_path, mock_llm
+    ):
+        for _ in range(40):
+            mock_llm.enqueue(401, "invalid api key")
+        endpoint = {"base_url": mock_llm.url, "model_name": "m", "backoff_seconds": 0.01}
+        out_dir = tmp_path / "results"
+        cfg = self.write_config(
+            tmp_path,
+            seeker={"kind": "llm", "endpoint": endpoint},
+            count_failures_as_losses=False,
+            output_dir=str(out_dir),
+        )
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "runtime failure: all 40 games ended in agent_failure\n"
+        assert not (out_dir / "report.json").exists()
+
     def test_bad_config_file(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"schema_version": 1}', encoding="utf-8")

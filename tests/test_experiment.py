@@ -261,9 +261,7 @@ class TestFailureAccounting:
         assert all(t.outcome == "agent_failure" for t in report.transcripts)
 
     def test_failures_can_be_excluded(self, rigged):
-        from infoseek.metrics import EmptyInputError
-
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(AgentFailure, match="all 40 games ended in agent_failure"):
             # excluding every game leaves nothing to aggregate
             run_experiment(quick_config(count_failures_as_losses=False))
 
