@@ -100,10 +100,6 @@ class NodeId:
     def __str__(self) -> str:
         return f"{self.level.value}:{self.numeric_id}"
 
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self.level.depth, self.numeric_id)
-
     @classmethod
     @functools.lru_cache(maxsize=1 << 14)  # ids are immutable; a dataset has few
     def parse(cls, text: str) -> NodeId:
@@ -229,11 +225,6 @@ class HypothesisGraph:
     def is_active(self, city_id: NodeId) -> bool:
         bit = self._bit.get(city_id)
         return bit is not None and self.active >> bit & 1 == 1
-
-    @property
-    def active_cities(self) -> frozenset[NodeId]:
-        """The active cities as ids, derived from `active` on each read."""
-        return frozenset(self.cities(self.active))
 
     def cities(self, mask: int) -> list[NodeId]:
         """Ids of the cities whose bits are set in `mask`, in bit order."""

@@ -157,7 +157,7 @@ def test_criterion_04_pruner_soundness(base_graph):
     with criterion(4, "rule pruner never drops the target, always partitions"):
         start = time.monotonic()
         graph = base_graph.fresh_copy()
-        actives = set(graph.active_cities)
+        actives = set(graph.cities(graph.active))
         pruner = RulePruner()
         levels = [level for level in Level if level is not Level.CITY]
         predicates = [

@@ -252,7 +252,7 @@ def test_parser_inverts_render_on_every_menu_question(base_graph, data):
     for _ in range(data.draw(st.integers(1, 7))):
         for p in [*candidate_predicates(g), greedy_choose(g)]:
             assert parser.parse(p.render()) == _parse_expected(p), p
-        active = sorted(g.active_cities, key=lambda c: c.numeric_id)
+        active = sorted(g.cities(g.active), key=lambda c: c.numeric_id)
         if len(active) == 1:
             break
         doomed = data.draw(st.sets(st.sampled_from(active), max_size=len(active) - 1))

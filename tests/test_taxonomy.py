@@ -40,11 +40,6 @@ class TestNodeId:
         with pytest.raises(ValueError):
             NodeId.parse(bad)
 
-    def test_sort_key_orders_by_level_then_id(self):
-        ids = [NodeId(Level.CITY, 2), NodeId(Level.REGION, 9), NodeId(Level.CITY, 10)]
-        ordered = sorted(ids, key=lambda n: n.sort_key)
-        assert [str(n) for n in ordered] == ["region:9", "city:2", "city:10"]
-
 
 class TestBuildGraph:
     def test_two_cities_sharing_everything_but_state(self, factory):
