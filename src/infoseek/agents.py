@@ -12,12 +12,11 @@ from __future__ import annotations
 import functools
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Protocol, Sequence
 
-from .questions import AttributeIn, CityGuess, CityIn, Predicate, prune_set, smallest_spellings
+from .questions import AttributeIn, CityGuess, CityIn, Predicate, prune_set
 from .taxonomy import ATTRIBUTE_LEVELS, HypothesisGraph, Level, NodeId, lowest_bits
 
 
@@ -117,9 +116,10 @@ class MenuEntry(NamedTuple):
 class HalfSpace:
     """The half-space city-set entry of the rule menu, built only when read.
 
-    Its values are the names of the lowest n // 2 active bits, read once.
-    Cities match by name, so `matches` counts every active city those names
-    cover: the low bits and their namesakes.
+    Its values are the names of the lowest n // 2 active bits, each in its
+    smallest spelling in the dataset, read once. Cities match by name, so
+    `matches` counts every active city those names cover: the low bits and
+    their namesakes.
     """
 
     level = Level.CITY
@@ -130,7 +130,7 @@ class HalfSpace:
 
     @functools.cached_property
     def values(self) -> tuple[str, ...]:
-        return tuple(self._graph.names(Level.CITY, self._low))
+        return tuple(self._graph.spelled_city_names(self._low))
 
     @functools.cached_property
     def matches(self) -> int:
@@ -141,21 +141,23 @@ class HalfSpace:
 def rule_menu(graph: HypothesisGraph) -> list[MenuEntry | HalfSpace]:
     """Both rule seekers' question menu.
 
-    A single-value test per distinct active value at each level above city,
-    in value order (case variants merged under their smallest spelling),
-    then, with two or more candidates, the half-space city-set question.
+    A single-value test per casefolded value with an active city at each
+    level above city, in (level, value) order, then, with two or more
+    candidates, the half-space city-set question. A value is spelled as the
+    smallest of its case variants in the dataset, as the question parser
+    reads it. The rows are built with the graph, so a turn costs one AND and
+    one `bit_count()` per row.
     """
     n = graph.active_count()
     if n == 0:
         raise EmptySpaceError("no active candidates")
+    active = graph.active
     menu: list[MenuEntry | HalfSpace] = []
     for level in ATTRIBUTE_LEVELS:
-        counts = graph.value_counts(level)
-        spelling = smallest_spellings(counts)
-        merged: Counter[str] = Counter()
-        for name, count in counts.items():
-            merged[spelling[name.casefold()]] += count
-        menu.extend(MenuEntry(level, (name,), merged[name]) for name in sorted(merged))
+        for values, mask in graph.value_rows(level):
+            matches = (active & mask).bit_count()
+            if matches:
+                menu.append(MenuEntry(level, values, matches))
     if n >= 2:
         menu.append(HalfSpace(graph))
     return menu
@@ -173,7 +175,7 @@ def candidate_predicates(graph: HypothesisGraph) -> list[Predicate]:
 
 
 def _only_city(graph: HypothesisGraph) -> CityGuess:
-    (only,) = graph.names(Level.CITY, graph.active)
+    (only,) = graph.spelled_city_names(graph.active)
     return CityGuess(only)
 
 
@@ -185,10 +187,9 @@ def greedy_choose(graph: HypothesisGraph) -> Predicate:
     n = graph.active_count()
     if n == 1:
         return _only_city(graph)
-    # |matching - non-matching|; 0 is a perfect halving.
-    best = min(
-        rule_menu(graph), key=lambda e: (abs(2 * e.matches - n), e.level.depth, e.values)
-    )
+    # |matching - non-matching|; 0 is a perfect halving. The menu is in
+    # (level, value) order and `min` keeps the first of equal keys.
+    best = min(rule_menu(graph), key=lambda e: abs(2 * e.matches - n))
     return menu_predicate(best)
 
 

@@ -21,10 +21,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable
 
 from .metrics import information_gain
-from .taxonomy import ATTRIBUTE_LEVELS, LEVELS, GraphError, HypothesisGraph, Level, NodeId
+from .taxonomy import (
+    ATTRIBUTE_LEVELS,
+    GraphError,
+    HypothesisGraph,
+    Level,
+    NodeId,
+    smallest_spellings,
+)
 
 
 class PredicateError(Exception):
@@ -33,14 +39,6 @@ class PredicateError(Exception):
 
 class TargetNotActiveError(GraphError):
     pass
-
-
-def smallest_spellings(names: Iterable[str]) -> dict[str, str]:
-    """Casefolded name -> its smallest spelling, whatever order the names come in.
-
-    In reverse sorted order the smallest spelling of a name comes last and wins.
-    """
-    return {n.casefold(): n for n in sorted(names, reverse=True)}
 
 
 def _normalize_values(values: tuple[str, ...]) -> dict[str, str]:
@@ -215,7 +213,7 @@ class QuestionParser:
 
     def __init__(self, graph: HypothesisGraph) -> None:
         # Case variants read as their smallest spelling, as on the rule menu.
-        self._values = {level: smallest_spellings(graph.distinct_names(level)) for level in LEVELS}
+        self._values = graph.spellings
 
     def _displayed(self, level: Level, names: list[str]) -> tuple[str, ...]:
         return tuple(self._values[level].get(n.casefold(), n) for n in names)

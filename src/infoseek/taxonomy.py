@@ -12,9 +12,9 @@ import copy
 import functools
 import hashlib
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable
 
 if TYPE_CHECKING:
@@ -117,6 +117,14 @@ class TaxonomyNode:
     children: tuple[NodeId, ...]
 
 
+def smallest_spellings(names: Iterable[str]) -> dict[str, str]:
+    """Casefolded name -> its smallest spelling, whatever order the names come in.
+
+    In reverse sorted order the smallest spelling of a name comes last and wins.
+    """
+    return {n.casefold(): n for n in sorted(names, reverse=True)}
+
+
 def _set_bits(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative mask, lowest first."""
     bits = []
@@ -188,12 +196,24 @@ class HypothesisGraph:
             rows.append((*names, node.name))
         # level -> those names, indexed by bit.
         self._names: dict[Level, tuple[str, ...]] = dict(zip(LEVELS, zip(*rows)))
-        # level above city -> display name -> mask of its cities.
+        # level -> casefolded name -> its smallest spelling in the dataset.
+        self._spelling: dict[Level, dict[str, str]] = {}
+        # level above city -> casefolded name -> mask of its cities.
         self._masks: dict[Level, dict[str, int]] = {}
+        # level above city -> ((spelling,), mask) per casefolded name, in spelling order.
+        self._rows: dict[Level, tuple[tuple[tuple[str], int], ...]] = {}
         for level in ATTRIBUTE_LEVELS:
-            masks = self._masks[level] = {}
+            by_name: dict[str, int] = {}
             for i, name in enumerate(self._names[level]):
-                masks[name] = masks.get(name, 0) | 1 << i
+                by_name[name] = by_name.get(name, 0) | 1 << i
+            spelling = self._spelling[level] = smallest_spellings(by_name)
+            masks = self._masks[level] = {}
+            for name, mask in by_name.items():
+                key = name.casefold()
+                masks[key] = masks.get(key, 0) | mask
+            self._rows[level] = tuple(
+                ((name,), masks[key]) for key, name in sorted(spelling.items(), key=itemgetter(1))
+            )
         # casefolded city name -> bits of the cities so named.
         self._city_bits: dict[str, list[int]] = {}
         for i, name in enumerate(self._names[Level.CITY]):
@@ -203,6 +223,11 @@ class HypothesisGraph:
             (i for bits in self._city_bits.values() if len(bits) > 1 for i in bits),
             len(self._order),
         )
+        # A city name no other city shares is its own smallest spelling.
+        cities = self._names[Level.CITY]
+        spelling = {key: cities[bits[0]] for key, bits in self._city_bits.items()}
+        spelling.update(smallest_spellings(self.names(Level.CITY, self._shared)))
+        self._spelling[Level.CITY] = spelling
         self.active = (1 << len(self._order)) - 1
 
     @property
@@ -236,19 +261,39 @@ class HypothesisGraph:
         names = self._names[level]
         return [names[i] for i in _set_bits(mask)]
 
-    def distinct_names(self, level: Level) -> set[str]:
-        """Every display name at `level`, of active and pruned cities alike."""
-        return set(self._names[level])
+    def spelled_city_names(self, mask: int) -> list[str]:
+        """City names of the cities in `mask`, in bit order, each in its
+        smallest spelling in the dataset.
+
+        Only a name some other city also has can be spelled otherwise, so
+        when `mask` holds none of those nothing is looked up.
+        """
+        names = self.names(Level.CITY, mask)
+        if mask & self._shared:
+            spelling = self._spelling[Level.CITY]
+            names = [spelling[name.casefold()] for name in names]
+        return names
+
+    @property
+    def spellings(self) -> dict[Level, dict[str, str]]:
+        """Level -> casefolded name -> its smallest spelling in the dataset; not
+        to be mutated."""
+        return self._spelling
+
+    def value_rows(self, level: Level) -> tuple[tuple[tuple[str], int], ...]:
+        """One `((spelling,), mask)` row per casefolded name at a level above
+        city, in spelling order, of active and pruned cities alike."""
+        return self._rows[level]
 
     def names_mask(self, level: Level, folded: Collection[str]) -> int:
         """Mask of the cities whose casefolded name at `level` is in `folded`."""
         if level is Level.CITY:
             bits = self._city_bits
             return mask_of((i for name in folded for i in bits.get(name, ())), len(self._order))
+        masks = self._masks[level]
         mask = 0
-        for name, m in self._masks[level].items():
-            if name.casefold() in folded:
-                mask |= m
+        for name in folded:
+            mask |= masks.get(name, 0)
         return mask
 
     def namesakes(self, mask: int) -> int:
@@ -266,17 +311,6 @@ class HypothesisGraph:
             return self._names[level][self._bit[city_id]]
         except KeyError:
             raise UnknownIdError(f"unknown city id: {city_id}") from None
-
-    def value_counts(self, level: Level) -> Counter[str]:
-        """Active cities per display name at a level above city; case variants
-        count apart, and names with no active city are left out."""
-        active = self.active
-        counts: Counter[str] = Counter()
-        for name, mask in self._masks[level].items():
-            count = (active & mask).bit_count()
-            if count:
-                counts[name] = count
-        return counts
 
     def ancestors(self, city_id: NodeId) -> list[NodeId]:
         """Ancestor path of a city, finest first: [state, country, subregion, region]."""
@@ -379,11 +413,12 @@ def build_graph(records: list[CityRecord]) -> HypothesisGraph:
     if not records:
         raise MissingFieldError("no records")
     nodes: dict[NodeId, TaxonomyNode] = {}
-    children: dict[NodeId, list[NodeId]] = {}
-    city_leaves: set[NodeId] = set()
+    # level -> numeric id -> node: a record's known ancestors are found by int,
+    # and each node's id is made once, so one parent is always one object.
+    known: dict[Level, dict[int, TaxonomyNode]] = {level: {} for level in LEVELS}
 
     for record in records:
-        parent_id: NodeId | None = None
+        parent: TaxonomyNode | None = None
         for level, id_field, name_field in _LEVEL_FIELDS:
             numeric = getattr(record, id_field)
             name = getattr(record, name_field)
@@ -391,27 +426,25 @@ def build_graph(records: list[CityRecord]) -> HypothesisGraph:
                 raise MissingFieldError(
                     f"record city_id={record.city_id}: missing {id_field}/{name_field}"
                 )
-            node_id = NodeId(level, int(numeric))
-            existing = nodes.get(node_id)
-            if existing is None:
-                if level is Level.CITY and node_id in city_leaves:
-                    raise DuplicateCityIdError(f"duplicate city id: {node_id}")
-                nodes[node_id] = TaxonomyNode(node_id, str(name), parent_id, ())
-                children[node_id] = []
-                if parent_id is not None:
-                    children[parent_id].append(node_id)
-                if level is Level.CITY:
-                    city_leaves.add(node_id)
-            else:
-                if level is Level.CITY:
-                    raise DuplicateCityIdError(f"duplicate city id: {node_id}")
-                if existing.parent != parent_id or existing.name != str(name):
-                    raise InconsistentHierarchyError(
-                        f"{node_id} appears as {existing.name!r} under "
-                        f"{existing.parent} and as {name!r} under {parent_id}"
-                    )
-            parent_id = node_id
+            numeric = int(numeric)
+            parent_id = None if parent is None else parent.id
+            node = known[level].get(numeric)
+            if node is None:
+                # Children gather in a list; it becomes a tuple below.
+                node = TaxonomyNode(NodeId(level, numeric), str(name), parent_id, [])
+                nodes[node.id] = known[level][numeric] = node
+                if parent is not None:
+                    parent.children.append(node.id)
+            elif level is Level.CITY:
+                raise DuplicateCityIdError(f"duplicate city id: {node.id}")
+            elif node.parent is not parent_id or node.name != str(name):
+                raise InconsistentHierarchyError(
+                    f"{node.id} appears as {node.name!r} under "
+                    f"{node.parent} and as {name!r} under {parent_id}"
+                )
+            parent = node
 
-    for node_id, kids in children.items():
-        nodes[node_id].children = tuple(kids)
-    return HypothesisGraph(nodes, frozenset(city_leaves), records_fingerprint(records))
+    for node in nodes.values():
+        node.children = tuple(node.children)
+    cities = frozenset(node.id for node in known[Level.CITY].values())
+    return HypothesisGraph(nodes, cities, records_fingerprint(records))

@@ -94,6 +94,27 @@ def graph(base_graph) -> HypothesisGraph:
     return base_graph.fresh_copy()
 
 
+@pytest.fixture(scope="session")
+def variant_graph() -> HypothesisGraph:
+    """Case-variant state names ("Georgia", "GEORGIA", "georgia") and shared
+    city names ("Springfield" twice, "Columbus" twice, "Paris"/"PARIS")."""
+    f = RecordFactory()
+
+    def usa(city, state):
+        return f.record(city, state, "USA", "Northern America", "Americas")
+
+    return build_graph([
+        usa("Springfield", "Illinois"), usa("Chicago", "Illinois"),
+        usa("Springfield", "Missouri"), usa("Kansas City", "Missouri"),
+        usa("Atlanta", "Georgia"), usa("Columbus", "Georgia"),
+        usa("Columbus", "Ohio"), usa("PARIS", "Texas"),
+        f.record("Tbilisi", "GEORGIA", "Sakartvelo", "Western Asia", "Asia"),
+        f.record("Batumi", "GEORGIA", "Sakartvelo", "Western Asia", "Asia"),
+        f.record("Kutaisi", "georgia", "Imereti", "Western Asia", "Asia"),
+        f.record("Paris", "Ile-de-France", "France", "Western Europe", "Europe"),
+    ])
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 - http.server naming
         length = int(self.headers.get("Content-Length") or 0)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from helpers import ScriptedSeeker
 
+from infoseek import agents
 from infoseek.agents import (
     AgentFailure,
     EmptySpaceError,
     GreedyHalvingSeeker,
+    HalfSpace,
     Observability,
     OracleOutput,
     RandomSeeker,
@@ -24,6 +27,7 @@ from infoseek.agents import (
     SeekerOutput,
     candidate_predicates,
     greedy_choose,
+    menu_predicate,
     rule_menu,
 )
 from infoseek.questions import (
@@ -156,6 +160,46 @@ class TestGreedyChoose:
             greedy_choose(graph)
         with pytest.raises(EmptySpaceError):
             candidate_predicates(graph)
+
+
+def walk_greedy_turns(g, data) -> None:
+    """Greedy's pick on each graph of a prune walk, against the three-key `min`
+    it replaced: most even split, then coarser level, then smaller values."""
+    for _ in range(data.draw(st.integers(1, 7))):
+        n = g.active_count()
+        if n == 1:
+            return
+        menus = []
+
+        def recording_menu(graph):
+            menus.append(rule_menu(graph))
+            return menus[-1]
+
+        with mock.patch.object(agents, "rule_menu", recording_menu):
+            chosen = greedy_choose(g)
+        (menu,) = menus
+        half = menu[-1]
+        assert isinstance(half, HalfSpace)
+        # Only the half-space question is a CityIn; any other pick leaves its names unread.
+        assert ("values" in vars(half)) == isinstance(chosen, CityIn)
+        reference = min(menu, key=lambda e: (abs(2 * e.matches - n), e.level.depth, e.values))
+        assert chosen == menu_predicate(reference)
+        active = sorted(g.cities(g.active), key=lambda c: c.numeric_id)
+        doomed = data.draw(st.sets(st.sampled_from(active), max_size=len(active) - 1))
+        if doomed:
+            g.prune(doomed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_greedy_keeps_the_three_key_tie_break_on_the_bundled_graph(base_graph, data):
+    walk_greedy_turns(base_graph.fresh_copy(), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_greedy_keeps_the_three_key_tie_break_with_case_variants(variant_graph, data):
+    walk_greedy_turns(variant_graph.fresh_copy(), data)
 
 
 class TestSeekers:

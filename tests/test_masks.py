@@ -1,43 +1,33 @@
 """The graph's bit masks agree with the per-city `matches` definitions.
 
 Each check walks a random sequence of prunes and compares every mask-based
-answer (prune_set, counterfactual_ig, value_counts, the rule menu's counts
-and spellings, active_count, is_active) with the same answer counted city
-by city from `Predicate.matches` and `HypothesisGraph.attribute_name`.
+answer (prune_set, counterfactual_ig, the rule menu's counts, active_count,
+is_active) with the same answer counted city by city from
+`Predicate.matches` and `HypothesisGraph.attribute_name`. The menu's values
+are checked against the dataset-wide spelling rule: each casefolded name
+with an active city, spelled as the smallest of its variants among all the
+dataset's cities, pruned or not.
 """
 
-from collections import Counter
-
 import pytest
-from conftest import RecordFactory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoseek.agents import menu_predicate, rule_menu
+from infoseek.agents import HalfSpace, menu_predicate, rule_menu
 from infoseek.metrics import information_gain
 from infoseek.questions import CityGuess, counterfactual_ig, prune_set
-from infoseek.taxonomy import ATTRIBUTE_LEVELS, GraphError, Level, NodeId, build_graph
+from infoseek.taxonomy import ATTRIBUTE_LEVELS, LEVELS, GraphError, Level, NodeId
 
 
-@pytest.fixture(scope="module")
-def variant_graph():
-    """Case-variant state names ("Georgia", "GEORGIA", "georgia") and shared
-    city names ("Springfield" twice, "Columbus" twice, "Paris"/"PARIS")."""
-    f = RecordFactory()
-
-    def usa(city, state):
-        return f.record(city, state, "USA", "Northern America", "Americas")
-
-    return build_graph([
-        usa("Springfield", "Illinois"), usa("Chicago", "Illinois"),
-        usa("Springfield", "Missouri"), usa("Kansas City", "Missouri"),
-        usa("Atlanta", "Georgia"), usa("Columbus", "Georgia"),
-        usa("Columbus", "Ohio"), usa("PARIS", "Texas"),
-        f.record("Tbilisi", "GEORGIA", "Sakartvelo", "Western Asia", "Asia"),
-        f.record("Batumi", "GEORGIA", "Sakartvelo", "Western Asia", "Asia"),
-        f.record("Kutaisi", "georgia", "Imereti", "Western Asia", "Asia"),
-        f.record("Paris", "Ile-de-France", "France", "Western Europe", "Europe"),
-    ])
+def dataset_spellings(g) -> dict[Level, dict[str, str]]:
+    """Level -> casefolded name -> its smallest spelling over every city."""
+    smallest: dict[Level, dict[str, str]] = {level: {} for level in LEVELS}
+    for c in g.city_leaves:
+        for level in LEVELS:
+            name = g.attribute_name(c, level)
+            table = smallest[level]
+            table[name.casefold()] = min(table.get(name.casefold(), name), name)
+    return smallest
 
 
 def check_masks(g, alive: set[NodeId]) -> None:
@@ -46,15 +36,16 @@ def check_masks(g, alive: set[NodeId]) -> None:
     assert frozenset(g.cities(g.active)) == alive
     assert all(g.is_active(c) == (c in alive) for c in g.city_leaves)
     menu = rule_menu(g)
+    spelling = dataset_spellings(g)
     for level in ATTRIBUTE_LEVELS:
-        names = [g.attribute_name(c, level) for c in alive]
-        assert g.value_counts(level) == Counter(names)
-        smallest: dict[str, str] = {}
-        for name in names:
-            smallest[name.casefold()] = min(smallest.get(name.casefold(), name), name)
-        assert [e.values[0] for e in menu if e.level is level] == sorted(smallest.values())
+        folded = {g.attribute_name(c, level).casefold() for c in alive}
+        expected = sorted(spelling[level][name] for name in folded)
+        assert [e.values[0] for e in menu if e.level is level] == expected
     for entry in menu:
         assert entry.matches == sum(menu_predicate(entry).matches(g, c) for c in alive)
+    if isinstance(menu[-1], HalfSpace):
+        cities = spelling[Level.CITY]
+        assert all(v == cities[v.casefold()] for v in menu[-1].values)
     guesses = [CityGuess(g.attribute_name(c, Level.CITY)) for c in alive]
     for p in [*map(menu_predicate, menu), *guesses]:
         yes = {c for c in alive if p.matches(g, c)}

@@ -244,10 +244,8 @@ def _parse_expected(p):
     return p
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_parser_inverts_render_on_every_menu_question(base_graph, data):
-    g = base_graph.fresh_copy()
+def walk_menu_round_trips(g, data) -> None:
+    """Parse the English of every menu question and greedy's pick, prune, repeat."""
     parser = QuestionParser(g)
     for _ in range(data.draw(st.integers(1, 7))):
         for p in [*candidate_predicates(g), greedy_choose(g)]:
@@ -258,3 +256,15 @@ def test_parser_inverts_render_on_every_menu_question(base_graph, data):
         doomed = data.draw(st.sets(st.sampled_from(active), max_size=len(active) - 1))
         if doomed:
             g.prune(doomed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parser_inverts_render_on_every_menu_question(base_graph, data):
+    walk_menu_round_trips(base_graph.fresh_copy(), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parser_inverts_render_with_case_variants_and_shared_names(variant_graph, data):
+    walk_menu_round_trips(variant_graph.fresh_copy(), data)

@@ -184,7 +184,7 @@ class TestPrune:
         assert clone.active_count() == 40
         assert graph.active_count() == 38
         assert clone.nodes is graph.nodes
-        for table in ("_order", "_bit", "_names", "_masks", "_city_bits"):
+        for table in ("_order", "_bit", "_names", "_spelling", "_masks", "_rows", "_city_bits"):
             assert getattr(clone, table) is getattr(graph, table)
         assert clone.fingerprint == graph.fingerprint
 
