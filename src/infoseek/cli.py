@@ -99,7 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if cfg.output_dir:
         _stderr(f"outputs written under {cfg.output_dir}")
-    if report.transcripts and report.failure_count == len(report.transcripts):
+    if report.failure_count == len(report.per_game):
         _stderr(f"runtime failure: all {report.failure_count} games ended in agent_failure")
         return 2
     return 0
@@ -121,10 +121,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.transcripts_dir).glob("*.jsonl"))
     if not paths:
         raise DatasetError(f"no .jsonl transcripts in {args.transcripts_dir}")
-    transcripts = [load_transcript(p) for p in paths]
     records, _ = load_dataset(args.csv)
     graph = build_graph(records)
-    decisions = list(iter_turn_decisions(transcripts, graph))
+    decisions = list(iter_turn_decisions(map(load_transcript, paths), graph))
     if args.detail:
         lines = ["game_index,turn_index,chosen_ig,optimal_ig,is_optimal,n_candidates,unparseable"]
         for game_index, decision in decisions:
@@ -138,7 +137,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         write_text_atomic(args.detail, "\n".join(lines) + "\n")
         _stderr(f"per-turn detail written to {args.detail}")
     report = summarize_decisions(decisions)
-    print(f"games: {len(transcripts)}")
+    print(f"games: {len(paths)}")
     print(f"turns analyzed: {report.turns_analyzed} (skipped: {report.turns_skipped})")
     print(f"Avg Optimal Rate: {report.avg_optimal_rate}")
     print(f"Avg Chosen IG: {report.avg_chosen_ig}")

@@ -34,9 +34,8 @@ def encode(obj: Any) -> dict[str, Any]:
     return _encoder(type(obj))(obj)
 
 
-def decode(cls: type, data: Any, **given: Any) -> Any:
-    """Build cls from a JSON object; fields in `given` are passed as they are."""
-    return _decoder(cls)(data, given)
+def decode(cls: type, data: Any) -> Any:
+    return _decoder(cls)(data)
 
 
 @functools.cache
@@ -117,19 +116,18 @@ def _encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
 
 
 @functools.cache
-def _decoder(cls: type) -> Callable[..., Any]:
+def _decoder(cls: type) -> Callable[[Any], Any]:
     hints = typing.get_type_hints(cls)
     # The third entry lets a value whose JSON type is exactly its field's skip the check.
     plan = [(name, _coder(hints[name])[1], hints[name]) for name in field_names(cls)]
     names = frozenset(field_names(cls))
 
-    def decode_fields(data: Any, given: dict[str, Any] | None = None) -> Any:
+    def decode_fields(data: Any) -> Any:
         if type(data) is not dict:
             raise CodecError(f"expected an object for {cls.__name__}, got {data!r}")
-        known = names.difference(given) if given else names
-        if not known.issuperset(data):
-            raise CodecError(f"unknown field {min(data.keys() - known)!r} for {cls.__name__}")
-        kwargs = dict(given) if given else {}
+        if not names.issuperset(data):
+            raise CodecError(f"unknown field {min(data.keys() - names)!r} for {cls.__name__}")
+        kwargs: dict[str, Any] = {}
         try:
             for name, dec, exact in plan:
                 if name in data:

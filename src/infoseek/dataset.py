@@ -87,7 +87,11 @@ _NAME_FIELDS = ("city_name", "state_name", "country_name", "region_name", "subre
 def load_csv(path: str | Path) -> list[CityRecord]:
     """Parse and validate the city CSV; header order does not matter."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    try:
+        handle = path.open(newline="", encoding="utf-8")
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise DatasetError(f"{path}: not a file") from exc
+    with handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise EmptyFileError(f"{path} has no header row")

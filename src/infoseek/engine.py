@@ -373,4 +373,7 @@ def save_transcript(transcript: GameTranscript, path: str | Path) -> None:
 
 
 def load_transcript(path: str | Path) -> GameTranscript:
-    return transcript_from_jsonl(Path(path).read_text(encoding="utf-8"))
+    try:
+        return transcript_from_jsonl(Path(path).read_text(encoding="utf-8"))
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise TranscriptFormatError(f"{path}: not a file") from exc

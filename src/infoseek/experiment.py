@@ -1,9 +1,10 @@
 """Batch orchestration: every city as target × several runs, aggregated.
 
-A run produces one transcript per (target, run) pair under a bounded
-worker pool, persists them all, then aggregates into a results table row
-and a per-turn gain timeline. Per-game seeds are derived from the base
-seed so adding targets never shifts other games' randomness.
+A run plays one game per (target, run) pair under a bounded worker pool,
+persists each transcript and folds it into the report as it finishes: a
+results table row and a per-turn gain timeline. No transcript is kept in
+memory. Per-game seeds are derived from the base seed so adding targets
+never shifts other games' randomness.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -38,7 +39,7 @@ from .engine import (
     write_text_atomic,
 )
 from .llm import EndpointConfig, LLMOracle, LLMPruner, LLMSeeker
-from .metrics import AggregateMetrics, TimelinePoint, aggregate, ig_timeline
+from .metrics import AggregateMetrics, GameMetrics, TimelinePoint, TurnMetrics, aggregate, ig_timeline
 from .taxonomy import NodeId, build_graph
 
 CONFIG_SCHEMA_VERSION = 1
@@ -117,6 +118,8 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> ExperimentConfig:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (IsADirectoryError, NotADirectoryError) as exc:
+            raise ConfigError(f"{path}: not a file") from exc
         except ValueError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(raw)
@@ -131,7 +134,6 @@ class ExperimentReport:
     timeline: tuple[TimelinePoint, ...]
     fault_summary: dict[str, int]
     failure_count: int
-    transcripts: tuple[GameTranscript, ...] = field(default=(), compare=False, repr=False)
 
 
 def derived_seed(base_seed: int, target: NodeId, run: int) -> int:
@@ -191,41 +193,38 @@ def run_experiment(
             save_transcript(transcript, transcripts_dir / transcript_filename(target, run))
         return transcript
 
-    transcripts: list[GameTranscript] = []
+    failure_count = 0
+    fault_summary: Counter[str] = Counter()
+    counted: list[GameMetrics] = []
+    counted_turns: list[list[TurnMetrics]] = []
     with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
         for transcript in pool.map(lambda job: one_game(*job), jobs):
-            transcripts.append(transcript)
             if progress is not None:
                 progress(transcript)
+            failed = transcript.outcome == OUTCOME_AGENT_FAILURE
+            failure_count += failed
+            for turn in transcript.turns:
+                for fault in turn.consistency_faults:
+                    fault_summary[fault.split(":", 1)[0]] += 1
+            if cfg.count_failures_as_losses or not failed:
+                counted.append(transcript.game_metrics)
+                counted_turns.append([r.metrics for r in transcript.turns])
+    if not counted:
+        raise AgentFailure(f"all {failure_count} games ended in agent_failure")
 
     per_game = tuple(
         str(transcripts_dir / transcript_filename(t, r)) if transcripts_dir is not None
         else transcript_filename(t, r)
         for t, r in jobs
     )
-    failure_count = sum(1 for t in transcripts if t.outcome == OUTCOME_AGENT_FAILURE)
-    counted = (
-        transcripts
-        if cfg.count_failures_as_losses
-        else [t for t in transcripts if t.outcome != OUTCOME_AGENT_FAILURE]
-    )
-    if not counted:
-        raise AgentFailure(f"all {failure_count} games ended in agent_failure")
-    fault_summary: Counter[str] = Counter()
-    for transcript in transcripts:
-        for turn in transcript.turns:
-            for fault in turn.consistency_faults:
-                fault_summary[fault.split(":", 1)[0]] += 1
-
     report = ExperimentReport(
         config=cfg,
         manifest=manifest,
         per_game=per_game,
-        aggregate=aggregate([t.game_metrics for t in counted]),
-        timeline=tuple(ig_timeline([[r.metrics for r in t.turns] for t in counted], cfg.max_turns)),
+        aggregate=aggregate(counted),
+        timeline=tuple(ig_timeline(counted_turns, cfg.max_turns)),
         fault_summary=dict(sorted(fault_summary.items())),
         failure_count=failure_count,
-        transcripts=tuple(transcripts),
     )
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
@@ -235,21 +234,16 @@ def run_experiment(
     return report
 
 
-def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
-    """The report as written to report.json; its games are their own files."""
-    d = encode(replace(report, transcripts=()))
-    del d["transcripts"]
-    d["schema_version"] = CONFIG_SCHEMA_VERSION
-    d["n_games"] = d["aggregate"].pop("n_games")
-    return d
-
-
 def _json_text(obj: dict[str, Any]) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def save_report(report: ExperimentReport, path: str | Path) -> None:
-    write_text_atomic(path, _json_text(report_to_dict(report)))
+    """Write report.json; its games are their own files, listed in per_game."""
+    d = encode(report)
+    d["schema_version"] = CONFIG_SCHEMA_VERSION
+    d["n_games"] = d["aggregate"].pop("n_games")
+    write_text_atomic(path, _json_text(d))
 
 
 def load_report(path: str | Path) -> ExperimentReport:
@@ -262,7 +256,7 @@ def load_report(path: str | Path) -> ExperimentReport:
             raise ConfigError(f"{path}: unsupported report schema_version {version!r}")
         raw["aggregate"]["n_games"] = raw.pop("n_games")
         return decode(ExperimentReport, raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IsADirectoryError, NotADirectoryError) as exc:
         raise ConfigError(f"{path}: bad report file ({exc})") from exc
 
 

@@ -146,7 +146,7 @@ def score_turn(
 
 
 def iter_turn_decisions(
-    transcripts: Sequence[GameTranscript],
+    transcripts: Iterable[GameTranscript],
     graph: HypothesisGraph,
     parser: QuestionParser | None = None,
 ) -> Iterator[tuple[int, TurnDecision | None]]:
@@ -172,7 +172,7 @@ def iter_turn_decisions(
 
 
 def decision_quality(
-    transcripts: Sequence[GameTranscript],
+    transcripts: Iterable[GameTranscript],
     graph: HypothesisGraph,
     parser: QuestionParser | None = None,
 ) -> DecisionQualityReport:

@@ -76,16 +76,17 @@ def criterion(number, label):
 
 @pytest.fixture(scope="module")
 def greedy_sweep():
-    """120 greedy rule-loop games (40 targets x 3 runs), timed."""
+    """120 greedy rule-loop games (40 targets x 3 runs), their transcripts, timed."""
     cfg = ExperimentConfig(
         dataset_path=CSV,
         runs_per_target=3,
         seeker=AgentSpec("greedy"),
         label="greedy-fo",
     )
+    transcripts = []
     start = time.monotonic()
-    report = run_experiment(cfg)
-    return report, time.monotonic() - start
+    report = run_experiment(cfg, progress=transcripts.append)
+    return report, transcripts, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +130,13 @@ def test_criterion_01_entropy_exactness():
 
 def test_criterion_02_closed_loop_rule_baseline(greedy_sweep):
     with criterion(2, "greedy rule loop: 120/120 wins, full IG, bounded turns"):
-        report, elapsed = greedy_sweep
+        report, transcripts, elapsed = greedy_sweep
         assert elapsed < 10.0
         assert report.aggregate.n_games == 120
         assert report.aggregate.win_rate.mean == 1.0
         assert report.aggregate.win_rate.se == 0.0
-        assert len(report.transcripts) == 120
-        for transcript in report.transcripts:
+        assert len(transcripts) == 120
+        for transcript in transcripts:
             assert transcript.outcome == "win"
             assert abs(transcript.game_metrics.total_ig - ENTROPY_40) < 1e-9
             assert transcript.game_metrics.turns <= GREEDY_TURN_BOUND
@@ -189,7 +190,7 @@ def test_criterion_04_pruner_soundness(base_graph):
 
 def test_criterion_05_baseline_ordering(greedy_sweep, random_sweep):
     with criterion(5, "random seeker needs more turns, earns less IG per turn"):
-        greedy_report, _ = greedy_sweep
+        greedy_report, _, _ = greedy_sweep
         assert random_sweep.aggregate.n_games == 120
         assert random_sweep.aggregate.avg_turns.mean > greedy_report.aggregate.avg_turns.mean
         assert random_sweep.aggregate.ig_per_turn.mean < greedy_report.aggregate.ig_per_turn.mean
@@ -197,10 +198,10 @@ def test_criterion_05_baseline_ordering(greedy_sweep, random_sweep):
 
 def test_criterion_06_replay_determinism(greedy_sweep, thousand_random_games, base_graph):
     with criterion(6, "all 1,120 transcripts replay with zero divergences"):
-        report, _ = greedy_sweep
+        _, greedy_transcripts, _ = greedy_sweep
         transcripts, _ = thousand_random_games
         divergences = 0
-        for transcript in list(report.transcripts) + transcripts:
+        for transcript in greedy_transcripts + transcripts:
             recomputed = replay(transcript, base_graph)
             if recomputed != transcript.game_metrics:
                 divergences += 1

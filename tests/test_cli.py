@@ -138,6 +138,12 @@ class TestRun:
         assert code == 1
         assert "error:" in err
 
+    def test_directory_as_config_is_bad_input(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path}: not a file\n"
+
 
 class TestReplayCommand:
     @pytest.fixture
@@ -177,6 +183,12 @@ class TestReplayCommand:
         code, _, err = run_cli(capsys, "replay", str(tmp_path / "nope.jsonl"), CSV)
         assert code == 1
         assert "error:" in err
+
+    def test_directory_as_transcript_is_bad_input(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "replay", str(tmp_path), CSV)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path}: not a file\n"
 
 
 class TestAnalyze:

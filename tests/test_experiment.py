@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import weakref
 
 import pytest
 
@@ -28,6 +29,13 @@ def quick_config(**overrides) -> ExperimentConfig:
     base = dict(dataset_path=str(bundled_dataset_path()), runs_per_target=1, max_turns=10)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def run_collected(cfg: ExperimentConfig):
+    """The report, and the transcripts that `progress` saw in order (a run keeps none)."""
+    seen = []
+    report = run_experiment(cfg, progress=seen.append)
+    return report, seen
 
 
 class TestConfig:
@@ -141,13 +149,13 @@ def test_transcript_filename_is_filesystem_safe():
 
 class TestRunExperiment:
     def test_greedy_sweep_wins_everything(self):
-        report = run_experiment(quick_config())
+        report, transcripts = run_collected(quick_config())
         assert report.aggregate.n_games == 40
         assert report.aggregate.win_rate.mean == 1.0
         assert report.aggregate.win_rate.se == 0.0
         assert report.failure_count == 0
         assert report.fault_summary == {}
-        assert all(t.outcome == "win" for t in report.transcripts)
+        assert all(t.outcome == "win" for t in transcripts)
 
     def test_jobs_cover_targets_times_runs(self):
         report = run_experiment(quick_config(runs_per_target=2))
@@ -158,19 +166,19 @@ class TestRunExperiment:
 
     def test_deterministic_across_invocations(self):
         cfg = quick_config(seeker=AgentSpec("random"), base_seed=5)
-        a = run_experiment(cfg)
-        b = run_experiment(cfg)
+        a, a_games = run_collected(cfg)
+        b, b_games = run_collected(cfg)
         assert a.aggregate == b.aggregate
-        assert [t.turns for t in a.transcripts] == [t.turns for t in b.transcripts]
+        assert [t.turns for t in a_games] == [t.turns for t in b_games]
 
     def test_parallelism_does_not_change_results(self):
-        serial = run_experiment(quick_config(seeker=AgentSpec("random"), base_seed=9))
-        parallel = run_experiment(
+        serial, serial_games = run_collected(quick_config(seeker=AgentSpec("random"), base_seed=9))
+        parallel, parallel_games = run_collected(
             quick_config(seeker=AgentSpec("random"), base_seed=9, parallelism=4)
         )
         assert serial.aggregate == parallel.aggregate
-        assert [t.config.target for t in serial.transcripts] == [
-            t.config.target for t in parallel.transcripts
+        assert [t.config.target for t in serial_games] == [
+            t.config.target for t in parallel_games
         ]
 
     def test_progress_callback_sees_each_game(self):
@@ -180,9 +188,18 @@ class TestRunExperiment:
         assert seen[0] == "city:1"
 
     def test_base_seed_changes_random_outcomes(self):
-        a = run_experiment(quick_config(seeker=AgentSpec("random"), base_seed=1))
-        b = run_experiment(quick_config(seeker=AgentSpec("random"), base_seed=2))
-        assert [t.turns for t in a.transcripts] != [t.turns for t in b.transcripts]
+        _, a_games = run_collected(quick_config(seeker=AgentSpec("random"), base_seed=1))
+        _, b_games = run_collected(quick_config(seeker=AgentSpec("random"), base_seed=2))
+        assert [t.turns for t in a_games] != [t.turns for t in b_games]
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_run_keeps_no_transcript(self, parallelism):
+        refs = []
+        report = run_experiment(
+            quick_config(parallelism=parallelism), progress=lambda t: refs.append(weakref.ref(t))
+        )
+        assert report.aggregate.n_games == len(refs) == 40
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 class TestPersistence:
@@ -210,7 +227,7 @@ class TestPersistence:
         assert again.timeline == report.timeline
         assert again.manifest == report.manifest
         assert again.per_game == report.per_game
-        assert again.transcripts == ()  # not persisted in the report file
+        assert "transcripts" not in json.loads((out / "report.json").read_text(encoding="utf-8"))
 
     def test_aggregate_recomputable_from_saved_transcripts(self, tmp_path):
         out = tmp_path / "exp"
@@ -252,13 +269,13 @@ class TestFailureAccounting:
         monkeypatch.setattr(experiment, "build_agents", rigged_build)
 
     def test_failures_counted_as_losses_by_default(self, rigged):
-        report = run_experiment(quick_config())
+        report, transcripts = run_collected(quick_config())
         assert report.failure_count == 40
         assert report.aggregate.n_games == 40
         assert report.aggregate.win_rate.mean == 0.0
         # a failed game is charged the full turn budget
         assert report.aggregate.avg_turns.mean == 10.0
-        assert all(t.outcome == "agent_failure" for t in report.transcripts)
+        assert all(t.outcome == "agent_failure" for t in transcripts)
 
     def test_failures_can_be_excluded(self, rigged):
         with pytest.raises(AgentFailure, match="all 40 games ended in agent_failure"):

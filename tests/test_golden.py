@@ -35,9 +35,9 @@ def test_sweep_transcripts_match_pinned_digest():
             seeker=AgentSpec(seeker),
             base_seed=0,
         )
-        report = run_experiment(cfg)
-        for transcript in report.transcripts:
-            digest.update(transcript_to_jsonl(transcript).encode("utf-8"))
+        run_experiment(
+            cfg, progress=lambda t: digest.update(transcript_to_jsonl(t).encode("utf-8"))
+        )
     assert digest.hexdigest() == SWEEP_DIGEST
 
 
