@@ -26,9 +26,9 @@ from .agents import (
     SeekerContext,
 )
 from .codec import decode, encode, field_names
-from .metrics import GameMetrics, TurnMetrics, entropy
+from .metrics import GameMetrics, TurnMetrics
 from .questions import Predicate, QuestionParser
-from .taxonomy import GraphError, HypothesisGraph, Level, NodeId, mask_of
+from .taxonomy import HypothesisGraph, Level, NodeId, mask_of
 
 SCHEMA_VERSION = 1
 
@@ -149,6 +149,32 @@ def _validated_prune(
     return valid, int.from_bytes(keep, "little"), faults
 
 
+def _apply_turn(
+    graph: HypothesisGraph, target: NodeId, pruned_ids: Sequence[NodeId], game_over: bool
+) -> tuple[list[NodeId], list[str], bool, TurnMetrics]:
+    """The turn rule that play_game and replay_turns share: apply the valid
+    part of the prune to `graph`, then judge the game_over claim. Returns the
+    applied ids, the turn's faults, whether it won, and its metrics."""
+    n_before = graph.active_count()
+    valid, mask, faults = _validated_prune(pruned_ids, graph, target)
+    graph.prune_mask(mask)
+    n_after = graph.active_count()
+    # The target is never pruned, so a win is a claim with one city left.
+    won = game_over and n_after == 1
+    if game_over and not won:
+        faults.append("false_game_over")
+    return valid, faults, won, TurnMetrics.measure(n_before, n_after)
+
+
+def _game_metrics(outcome: str, turns: Sequence[TurnRecord], max_turns: int) -> GameMetrics:
+    """The footer rule. A failed game counts as a loss at the full turn budget;
+    the failure itself is still visible in the outcome field and batch reports."""
+    per_turn = [t.metrics for t in turns]
+    if outcome == OUTCOME_AGENT_FAILURE:
+        return GameMetrics.from_turns(False, per_turn, turns=max_turns)
+    return GameMetrics.from_turns(outcome == OUTCOME_WIN, per_turn)
+
+
 def play_game(
     seeker: Seeker,
     oracle: Oracle,
@@ -171,7 +197,6 @@ def play_game(
     parser: QuestionParser | None = None
 
     for turn_index in range(1, cfg.max_turns + 1):
-        n_before = graph.active_count()
         ctx = SeekerContext(
             history=list(history),
             turn_index=turn_index,
@@ -191,13 +216,9 @@ def play_game(
             outcome = OUTCOME_AGENT_FAILURE
             break
 
-        valid, mask, faults = _validated_prune(prune.pruned_ids, graph, cfg.target)
-        graph.prune_mask(mask)
-        # The target is never pruned, so a win is a claim with one city left.
-        won = answer.game_over and graph.active_count() == 1
-        if answer.game_over and not won:
-            faults.append("false_game_over")
-        metrics = TurnMetrics.measure(n_before, graph.active_count())
+        valid, faults, won, metrics = _apply_turn(
+            graph, cfg.target, prune.pruned_ids, answer.game_over
+        )
         record = TurnRecord(
             turn_index=turn_index,
             question_text=question.question_text,
@@ -221,29 +242,23 @@ def play_game(
             outcome = OUTCOME_WIN
             break
 
-    per_turn = [t.metrics for t in turns]
-    if outcome == OUTCOME_AGENT_FAILURE:
-        # A failed game counts as a loss at the full turn budget; the failure
-        # itself is still visible in the outcome field and batch reports.
-        game_metrics = GameMetrics.from_turns(False, per_turn, turns=cfg.max_turns)
-    else:
-        game_metrics = GameMetrics.from_turns(outcome == OUTCOME_WIN, per_turn)
     return GameTranscript(
         config=cfg,
         dataset_fingerprint=graph.fingerprint,
         turns=tuple(turns),
         outcome=outcome,
-        game_metrics=game_metrics,
+        game_metrics=_game_metrics(outcome, turns, cfg.max_turns),
         audit_events=tuple(audit_events),
     )
 
 
-def _check_drift(turn: TurnRecord, name: str, recomputed: float) -> None:
-    recorded = getattr(turn.metrics, name)
-    if abs(recomputed - recorded) > 1e-9:
-        raise ReplayDivergenceError(
-            f"turn {turn.turn_index} {name}: recorded {recorded!r}, recomputed {recomputed!r}"
-        )
+def _check_fields(where: str, recorded: object, derived: object) -> None:
+    """Raise if a field of `derived` is more than 1e-9 from the recorded one."""
+    for name, got in vars(derived).items():
+        if abs(got - getattr(recorded, name)) > 1e-9:
+            raise ReplayDivergenceError(
+                f"{where}{name}: recorded {getattr(recorded, name)!r}, derived {got!r}"
+            )
 
 
 def replay_turns(
@@ -252,9 +267,12 @@ def replay_turns(
     """Walk a transcript on a fresh copy of the graph, checking every turn.
 
     Yields each turn with the graph as that turn was played on; resuming
-    re-applies the turn's recorded prune. Drift beyond 1e-9 from the
-    recorded h_before, h_after or ig, or a prune the graph rejects, raises
-    ReplayDivergenceError, which makes transcripts tamper-evident.
+    applies the recorded prune and game_over claim under the engine's turn
+    rule. A turn the engine could not have written raises
+    ReplayDivergenceError, which makes transcripts tamper-evident: drift
+    beyond 1e-9 in h_before, h_after or ig; a prune the validator faults; a
+    `false_game_over` fault the claim does not reproduce, or one missing; a
+    turn after a win; an outcome of `win` exactly when the last turn did not win.
     """
     if transcript.dataset_fingerprint != graph.fingerprint:
         raise FingerprintMismatchError(
@@ -262,35 +280,33 @@ def replay_turns(
             f"graph is {graph.fingerprint[:12]}…"
         )
     g = graph.fresh_copy()
+    target = transcript.config.target
+    won = False
     for turn in transcript.turns:
-        n_before = g.active_count()
-        _check_drift(turn, "h_before", entropy(n_before))
+        if won:
+            raise ReplayDivergenceError(f"turn {turn.turn_index}: play went on after a win")
         yield turn, g
-        try:
-            if turn.pruned_ids:
-                g.prune(turn.pruned_ids)
-        except GraphError as exc:
-            raise ReplayDivergenceError(f"turn {turn.turn_index}: {exc}") from exc
-        metrics = TurnMetrics.measure(n_before, g.active_count())
-        _check_drift(turn, "h_after", metrics.h_after)
-        _check_drift(turn, "ig", metrics.ig)
+        _, faults, won, metrics = _apply_turn(g, target, turn.pruned_ids, turn.game_over)
+        claimed = ["false_game_over"] if "false_game_over" in turn.consistency_faults else []
+        if faults != claimed:
+            raise ReplayDivergenceError(
+                f"turn {turn.turn_index}: the recorded prune and claim replay with "
+                f"faults {faults}, but the transcript records {claimed}"
+            )
+        _check_fields(f"turn {turn.turn_index} ", turn.metrics, metrics)
+    if won != (transcript.outcome == OUTCOME_WIN):
+        raise ReplayDivergenceError(
+            f"outcome {transcript.outcome!r}, but the last turn "
+            f"{'won' if won else 'did not win'}"
+        )
 
 
 def replay(transcript: GameTranscript, graph: HypothesisGraph) -> GameMetrics:
-    """Re-apply recorded prunes on a fresh copy and check every metric.
-
-    replay_turns checks each turn's metrics against the recomputed entropy;
-    the game totals are then summed from them and checked to the same 1e-9.
-    """
-    per_turn = [turn.metrics for turn, _ in replay_turns(transcript, graph)]
-    result = GameMetrics.from_turns(
-        transcript.game_metrics.win, per_turn, turns=transcript.game_metrics.turns
-    )
-    for name in ("total_ig", "ig_per_turn"):
-        got = getattr(result, name)
-        recorded = getattr(transcript.game_metrics, name)
-        if abs(got - recorded) > 1e-9:
-            raise ReplayDivergenceError(f"{name}: recorded {recorded!r}, recomputed {got!r}")
+    """Replay every turn, then check each footer field against the footer
+    rule: `win` and `turns` exactly, the bits to 1e-9."""
+    turns = [turn for turn, _ in replay_turns(transcript, graph)]
+    result = _game_metrics(transcript.outcome, turns, transcript.config.max_turns)
+    _check_fields("footer ", transcript.game_metrics, result)
     return result
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable
 
@@ -145,9 +146,9 @@ def derived_seed(base_seed: int, target: NodeId, run: int) -> int:
 def build_agents(cfg: ExperimentConfig) -> tuple[Seeker, Oracle, Pruner]:
     """Instantiate the three roles; one instance each is shared by all games."""
 
-    def endpoint_for(spec: AgentSpec) -> EndpointConfig:
+    def llm(agent: Callable[[EndpointConfig, bool], Any], spec: AgentSpec) -> Any:
         assert spec.endpoint is not None  # enforced in ExperimentConfig
-        return replace(spec.endpoint, reasoning_enabled=cfg.reasoning_enabled)
+        return agent(spec.endpoint, cfg.reasoning_enabled)
 
     seeker: Seeker
     if cfg.seeker.kind == "greedy":
@@ -155,9 +156,9 @@ def build_agents(cfg: ExperimentConfig) -> tuple[Seeker, Oracle, Pruner]:
     elif cfg.seeker.kind == "random":
         seeker = RandomSeeker()
     else:
-        seeker = LLMSeeker(endpoint_for(cfg.seeker))
-    oracle: Oracle = RuleOracle() if cfg.oracle.kind == "rule" else LLMOracle(endpoint_for(cfg.oracle))
-    pruner: Pruner = RulePruner() if cfg.pruner.kind == "rule" else LLMPruner(endpoint_for(cfg.pruner))
+        seeker = llm(LLMSeeker, cfg.seeker)
+    oracle: Oracle = RuleOracle() if cfg.oracle.kind == "rule" else llm(LLMOracle, cfg.oracle)
+    pruner: Pruner = RulePruner() if cfg.pruner.kind == "rule" else llm(LLMPruner, cfg.pruner)
     return seeker, oracle, pruner
 
 
@@ -197,8 +198,16 @@ def run_experiment(
     fault_summary: Counter[str] = Counter()
     counted: list[GameMetrics] = []
     counted_turns: list[list[TurnMetrics]] = []
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        for transcript in pool.map(lambda job: one_game(*job), jobs):
+    # Games are folded in job order, each worker at most two games ahead of
+    # the fold (one playing, one queued): a worker that finishes finds its next
+    # game waiting, and at most 2 × parallelism finished games wait unfolded.
+    queued = iter(jobs)
+    pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
+    try:
+        ahead = deque(pool.submit(one_game, *job) for job in islice(queued, 2 * cfg.parallelism))
+        while ahead:
+            transcript = ahead.popleft().result()
+            ahead.extend(pool.submit(one_game, *job) for job in islice(queued, 1))
             if progress is not None:
                 progress(transcript)
             failed = transcript.outcome == OUTCOME_AGENT_FAILURE
@@ -209,6 +218,8 @@ def run_experiment(
             if cfg.count_failures_as_losses or not failed:
                 counted.append(transcript.game_metrics)
                 counted_turns.append([r.metrics for r in transcript.turns])
+    finally:
+        pool.shutdown(cancel_futures=True)  # if a game or `progress` raised, play no more
     if not counted:
         raise AgentFailure(f"all {failure_count} games ended in agent_failure")
 

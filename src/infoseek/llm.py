@@ -129,14 +129,13 @@ class EndpointConfig:
 
     `reasoning_suffix`, when set, is appended verbatim to the system prompt —
     the serving-level switch for models that toggle thinking with a prompt
-    marker. `reasoning_enabled` additionally turns on inline-think splitting.
+    marker. Inline-think splitting is the run's `reasoning_enabled`.
     """
 
     base_url: str
     model_name: str
     api_key_env: str = ""
     temperature: float | None = None
-    reasoning_enabled: bool = False
     reasoning_suffix: str | None = None
     max_retries: int = 2
     timeout: float = 60.0
@@ -175,7 +174,7 @@ _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
 
 
 def _post(
-    endpoint: EndpointConfig, url: str, data: bytes, headers: dict[str, str]
+    endpoint: EndpointConfig, url: str, data: bytes, headers: dict[str, str], split_think: bool
 ) -> CompletionResult:
     """One POST and its decoded completion; every fault is a WireError."""
     request = urllib.request.Request(url, data=data, headers=headers, method="POST")
@@ -199,7 +198,7 @@ def _post(
 
     # The provider's reasoning channel first, then any inline <think> blocks.
     traces = [provider_trace] if isinstance(provider_trace, str) else []
-    if endpoint.reasoning_enabled:
+    if split_think:
         traces += _THINK_RE.findall(text)
         text = _THINK_RE.sub("", text)
     trace = "\n\n".join(t.strip() for t in traces if t.strip()) or None
@@ -213,11 +212,13 @@ def complete(
     endpoint: EndpointConfig,
     messages: Sequence[ChatMessage],
     parse: Callable[[str], Any] | None = None,
+    reasoning_enabled: bool = False,
 ) -> CompletionResult:
     """One chat completion within one budget of max_retries + 1 requests.
 
     `parse`, the caller's reply parser, reads the completion text and its
-    value becomes `parsed`. A transport fault, a 5xx or 429, an empty or
+    value becomes `parsed`; `reasoning_enabled` moves inline `<think>` blocks
+    from the text to the trace. A transport fault, a 5xx or 429, an empty or
     unusable completion and a MalformedResponseError from `parse` each use
     up one attempt, and every retry waits the same exponential backoff.
     Other provider statuses raise ProviderError at once; a spent budget
@@ -240,7 +241,7 @@ def complete(
     attempt = 0
     while True:
         try:
-            result = _post(endpoint, url, data, headers)
+            result = _post(endpoint, url, data, headers, reasoning_enabled)
             if parse is not None:
                 result = replace(result, parsed=parse(result.text))
             return result
@@ -382,14 +383,15 @@ def _audit_blob(messages: Sequence[ChatMessage], result: CompletionResult) -> st
 class _LLMAgent:
     """One role on one endpoint; a WireError fails the game as an AgentFailure."""
 
-    def __init__(self, endpoint: EndpointConfig) -> None:
+    def __init__(self, endpoint: EndpointConfig, reasoning_enabled: bool = False) -> None:
         self.endpoint = endpoint
+        self.reasoning_enabled = reasoning_enabled
 
     def _complete(
         self, messages: list[ChatMessage], parse: Callable[[str], Any] | None = None
     ) -> CompletionResult:
         try:
-            return complete(self.endpoint, messages, parse)
+            return complete(self.endpoint, messages, parse, self.reasoning_enabled)
         except WireError as exc:
             raise AgentFailure(f"{type(self).__name__} backend failed: {exc}") from exc
 

@@ -36,6 +36,7 @@ from infoseek.engine import (
     transcript_from_jsonl,
     transcript_to_jsonl,
 )
+from infoseek.metrics import GameMetrics
 from infoseek.questions import AttributeIn, CityGuess
 from infoseek.llm import EndpointConfig, LLMSeeker, build_seeker_messages
 from infoseek.taxonomy import HypothesisGraph, Level, NodeId, build_graph
@@ -352,6 +353,26 @@ class TestDeterminism:
         assert len(outs) > 1
 
 
+# Transcript edits that keep every entropy figure and total consistent, so
+# only the engine's turn rule and footer rule can tell them from a played game.
+def claim_win_after_two_turns(t):
+    turns = t.turns[:2]
+    metrics = GameMetrics.from_turns(True, [turn.metrics for turn in turns])
+    return dataclasses.replace(t, turns=turns, outcome=OUTCOME_WIN, game_metrics=metrics)
+
+
+def edit_first_turn(t, **changes):
+    return dataclasses.replace(
+        t, turns=(dataclasses.replace(t.turns[0], **changes),) + t.turns[1:]
+    )
+
+
+def count_one_more_turn(t):
+    m = t.game_metrics
+    more = dataclasses.replace(m, turns=m.turns + 1, ig_per_turn=m.total_ig / (m.turns + 1))
+    return dataclasses.replace(t, game_metrics=more)
+
+
 class TestReplay:
     def test_round_trip_matches(self, base_graph):
         transcript = rule_game(base_graph.fresh_copy(), NodeId(Level.CITY, 21))
@@ -399,6 +420,33 @@ class TestReplay:
         )
         with pytest.raises(ReplayDivergenceError):
             replay(doctored, base_graph)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(claim_win_after_two_turns, id="claims-a-win"),
+            pytest.param(
+                lambda t: edit_first_turn(
+                    t, pruned_ids=(t.config.target,) + t.turns[0].pruned_ids[1:]
+                ),
+                id="prunes-its-target",
+            ),
+            pytest.param(
+                lambda t: edit_first_turn(
+                    t, pruned_ids=t.turns[0].pruned_ids + t.turns[0].pruned_ids[:1]
+                ),
+                id="repeats-a-pruned-id",
+            ),
+            pytest.param(count_one_more_turn, id="footer-turns"),
+            pytest.param(lambda t: edit_first_turn(t, game_over=True), id="game-over-no-fault"),
+        ],
+    )
+    def test_transcript_the_engine_could_not_write_is_refused(self, base_graph, edit):
+        transcript = rule_game(base_graph.fresh_copy(), TOKYO)
+        assert transcript.outcome == OUTCOME_WIN and len(transcript.turns) > 2
+        replay(transcript, base_graph)
+        with pytest.raises(ReplayDivergenceError):
+            replay(edit(transcript), base_graph)
 
     def test_impossible_prune_sequence_detected(self, base_graph):
         transcript = rule_game(base_graph.fresh_copy(), TOKYO)

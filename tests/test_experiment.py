@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import time
 import weakref
 
 import pytest
@@ -103,6 +104,9 @@ class TestConfig:
                 "base_url": "http://x", "model_name": "m", "max_retries": True}}},
             {"seeker": {"kind": "llm", "endpoint": {
                 "base_url": "http://x", "model_name": "m", "colour": "red"}}},
+            # a run-level setting; the endpoint has no such field
+            {"seeker": {"kind": "llm", "endpoint": {
+                "base_url": "http://x", "model_name": "m", "reasoning_enabled": True}}},
         ],
     )
     def test_mistyped_or_unknown_values_rejected(self, change):
@@ -110,6 +114,12 @@ class TestConfig:
         d.update(change)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("think", [False, True])
+    def test_run_reasoning_setting_reaches_llm_agents(self, think):
+        spec = AgentSpec("llm", EndpointConfig(base_url="http://x", model_name="m"))
+        cfg = quick_config(seeker=spec, oracle=spec, pruner=spec, reasoning_enabled=think)
+        assert [a.reasoning_enabled for a in experiment.build_agents(cfg)] == [think] * 3
 
     def test_int_is_read_as_float(self):
         d = quick_config().to_dict()
@@ -193,13 +203,28 @@ class TestRunExperiment:
         assert [t.turns for t in a_games] != [t.turns for t in b_games]
 
     @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_run_keeps_no_transcript(self, parallelism):
+    def test_run_keeps_no_transcript(self, parallelism, monkeypatch):
+        started = []
+        play = experiment.play_game
+
+        def counted_play(*args, **kwargs):
+            started.append(None)
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "play_game", counted_play)
         refs = []
-        report = run_experiment(
-            quick_config(parallelism=parallelism), progress=lambda t: refs.append(weakref.ref(t))
-        )
-        assert report.aggregate.n_games == len(refs) == 40
+        ahead = []  # games started and not yet folded, as each one is folded
+
+        def progress(transcript):
+            if not refs:
+                time.sleep(0.05)  # time for the workers to run ahead, if they may
+            refs.append(weakref.ref(transcript))
+            ahead.append(len(started) - len(refs))
+
+        report = run_experiment(quick_config(parallelism=parallelism), progress=progress)
+        assert report.aggregate.n_games == len(refs) == len(started) == 40
         assert [ref for ref in refs if ref() is not None] == []
+        assert max(ahead) <= 2 * parallelism
 
 
 class TestPersistence:

@@ -296,7 +296,7 @@ class TestComplete:
     def test_inline_think_split_when_enabled(self, mock_llm):
         mock_llm.say("<think>narrow by region</think>Is the target city in Asia?")
         result = complete(
-            endpoint_for(mock_llm, reasoning_enabled=True), [ChatMessage("user", "hi")]
+            endpoint_for(mock_llm), [ChatMessage("user", "hi")], reasoning_enabled=True
         )
         assert result.text == "Is the target city in Asia?"
         assert result.reasoning_trace == "narrow by region"
@@ -310,7 +310,7 @@ class TestComplete:
     def test_both_reasoning_channels_joined(self, mock_llm):
         mock_llm.say("<think>inline part</think>Question?", reasoning="provider part")
         result = complete(
-            endpoint_for(mock_llm, reasoning_enabled=True), [ChatMessage("user", "hi")]
+            endpoint_for(mock_llm), [ChatMessage("user", "hi")], reasoning_enabled=True
         )
         assert result.reasoning_trace == "provider part\n\ninline part"
 

@@ -245,6 +245,13 @@ class TestIterTurnDecisions:
         with pytest.raises(ReplayDivergenceError):
             list(iter_turn_decisions([doctored], base_graph))
 
+    def test_pruned_target_is_a_divergence(self, base_graph):
+        # the target takes the place of one non-Asian city, so every count holds
+        pruned = [TOKYO.numeric_id, *NON_ASIA[1:]]
+        transcript = manual_transcript(base_graph, TOKYO, [(ASIA_Q, None, "Yes", pruned)])
+        with pytest.raises(ReplayDivergenceError):
+            list(iter_turn_decisions([transcript], base_graph))
+
     def test_impossible_prune_is_a_divergence(self, base_graph):
         transcript = manual_transcript(base_graph, TOKYO, [(ASIA_Q, None, "Yes", NON_ASIA)])
         first = transcript.turns[0]
