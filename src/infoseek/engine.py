@@ -26,7 +26,7 @@ from .agents import (
     SeekerContext,
 )
 from .codec import decode, encode, field_names
-from .metrics import GameMetrics, TurnMetrics
+from .metrics import GameMetrics, TurnMetrics, entropy
 from .questions import Predicate, QuestionParser
 from .taxonomy import HypothesisGraph, Level, NodeId, mask_of
 
@@ -273,6 +273,11 @@ def replay_turns(
     beyond 1e-9 in h_before, h_after or ig; a prune the validator faults; a
     `false_game_over` fault the claim does not reproduce, or one missing; a
     turn after a win; an outcome of `win` exactly when the last turn did not win.
+
+    A turn's h_before is checked before it is yielded; the rest of it (its
+    prune, its claim, h_after and ig) only when the walk resumes, and the
+    outcome after the last turn. Trust a yielded turn only once the walk has
+    run to its end without raising.
     """
     if transcript.dataset_fingerprint != graph.fingerprint:
         raise FingerprintMismatchError(
@@ -285,6 +290,12 @@ def replay_turns(
     for turn in transcript.turns:
         if won:
             raise ReplayDivergenceError(f"turn {turn.turn_index}: play went on after a win")
+        h_before = entropy(g.active_count())
+        if abs(h_before - turn.metrics.h_before) > 1e-9:
+            raise ReplayDivergenceError(
+                f"turn {turn.turn_index} h_before: recorded {turn.metrics.h_before!r}, "
+                f"derived {h_before!r}"
+            )
         yield turn, g
         _, faults, won, metrics = _apply_turn(g, target, turn.pruned_ids, turn.game_over)
         claimed = ["false_game_over"] if "false_game_over" in turn.consistency_faults else []

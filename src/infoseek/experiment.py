@@ -198,13 +198,16 @@ def run_experiment(
     fault_summary: Counter[str] = Counter()
     counted: list[GameMetrics] = []
     counted_turns: list[list[TurnMetrics]] = []
-    # Games are folded in job order, each worker at most two games ahead of
-    # the fold (one playing, one queued): a worker that finishes finds its next
-    # game waiting, and at most 2 × parallelism finished games wait unfolded.
+    # Games are folded in job order, so finished games wait for the oldest one.
+    # At most parallelism × max_turns games are started ahead of the fold: a
+    # game plays 1 to max_turns turns, so while one plays its whole budget the
+    # other workers finish at most (parallelism - 1) × max_turns one-turn
+    # games, and with turns of like cost no worker waits on the fold.
     queued = iter(jobs)
     pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
     try:
-        ahead = deque(pool.submit(one_game, *job) for job in islice(queued, 2 * cfg.parallelism))
+        window = cfg.parallelism * cfg.max_turns
+        ahead = deque(pool.submit(one_game, *job) for job in islice(queued, window))
         while ahead:
             transcript = ahead.popleft().result()
             ahead.extend(pool.submit(one_game, *job) for job in islice(queued, 1))

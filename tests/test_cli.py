@@ -308,6 +308,24 @@ class TestReportAndTimeline:
         assert code == 2
         assert "runtime failure:" in err
 
+    def test_llm_report_with_endpoint_reasoning_flag_is_bad_input(
+        self, capsys, report_path, tmp_path
+    ):
+        # Reports written before `reasoning_enabled` became run-level only
+        # carry the key in every endpoint; they load once it is deleted.
+        endpoint = {"base_url": "http://x", "model_name": "m", "reasoning_enabled": False}
+        old = json.loads(report_path.read_text(encoding="utf-8"))
+        old["config"]["seeker"] = {"kind": "llm", "endpoint": endpoint}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(old), encoding="utf-8")
+        code, _, err = run_cli(capsys, "report", str(path))
+        assert code == 1
+        assert "unknown field 'reasoning_enabled'" in err
+        del endpoint["reasoning_enabled"]
+        path.write_text(json.dumps(old), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "report", str(path))
+        assert code == 0 and "table-check" in out
+
     def test_garbage_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         path.write_text('{"what": 1}', encoding="utf-8")

@@ -32,6 +32,7 @@ from infoseek.engine import (
     load_transcript,
     play_game,
     replay,
+    replay_turns,
     save_transcript,
     transcript_from_jsonl,
     transcript_to_jsonl,
@@ -411,6 +412,14 @@ class TestReplay:
         )
         with pytest.raises(ReplayDivergenceError):
             replay(doctored, base_graph)
+
+    def test_tampered_h_before_refused_before_its_turn_is_yielded(self, base_graph):
+        transcript = rule_game(base_graph.fresh_copy(), TOKYO)
+        doctored = edit_first_turn(
+            transcript, metrics=dataclasses.replace(transcript.turns[0].metrics, h_before=3.0)
+        )
+        with pytest.raises(ReplayDivergenceError):
+            next(replay_turns(doctored, base_graph))
 
     def test_tampered_total_detected(self, base_graph):
         transcript = rule_game(base_graph.fresh_copy(), TOKYO)

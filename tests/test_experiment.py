@@ -221,10 +221,12 @@ class TestRunExperiment:
             refs.append(weakref.ref(transcript))
             ahead.append(len(started) - len(refs))
 
-        report = run_experiment(quick_config(parallelism=parallelism), progress=progress)
+        # a short turn budget keeps the window (parallelism × max_turns) under 40 games
+        cfg = quick_config(parallelism=parallelism, max_turns=3)
+        report = run_experiment(cfg, progress=progress)
         assert report.aggregate.n_games == len(refs) == len(started) == 40
         assert [ref for ref in refs if ref() is not None] == []
-        assert max(ahead) <= 2 * parallelism
+        assert max(ahead) <= parallelism * cfg.max_turns
 
 
 class TestPersistence:
